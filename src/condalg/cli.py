@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (for ``equiv``: equivalent), 1 negative result
 (``equiv``: not equivalent; ``check-axioms``: some instance failed),
-2 usage or input errors, 3 node-budget exhaustion.
+2 usage or input errors, 3 resource budget exhausted.
 """
 
 from __future__ import annotations
@@ -12,26 +12,28 @@ import sys
 from collections import Counter
 
 from .congruence import (
+    KIND_LEVEL,
+    SYSTEM_LEVEL,
+    SYSTEMS,
+    TREE_ROUTES,
     CongruenceKind,
-    CR,
-    FREE,
-    MEM,
-    RP,
     check_axioms,
     equivalent,
     normal_form,
     render_truth_table,
     separation_witnesses,
     static,
+    transformed_tree,
     truth_table,
 )
 from .errors import BudgetError, CondAlgError
-from .evaltrees import evaluate_with_oracle, render_tree, se
+from .evaltrees import evaluate_with_oracle, render_tree
 from .shortcircuit import desugar, make_register_oracle, parse_register_state, parse_sc
 from .terms import Atom, Sigma, enumerate_basic_forms, parse_term, render_term
-from .treetransform import cse, mse, rpse, sse
 
-_SYSTEM_KINDS = {"free": FREE, "rp": RP, "cr": CR, "mem": MEM}
+# ``tree --semantics`` names the tree function itself (se, rpse, ...).
+_SEMANTICS_TAG = {route.__name__: tag for tag, route in TREE_ROUTES.items()}
+_TAG_AT_LEVEL = {level: tag for tag, level in KIND_LEVEL.items()}
 
 
 class UsageError(Exception):
@@ -62,14 +64,18 @@ def _parse_sigma(text: str) -> Sigma:
     return Sigma(tuple(Atom(n) for n in names))
 
 
-def _resolve_kind(system: str, sigma_text: str | None) -> CongruenceKind:
-    if system == "static":
+def _resolve_kind(
+    tag: str, sigma_text: str | None, static_option: str = "--system static"
+) -> CongruenceKind:
+    """The congruence ``tag`` names; only the static one takes ``--sigma``,
+    and ``static_option`` is how the command's flags select it."""
+    if tag == "static":
         if sigma_text is None:
-            raise UsageError("--sigma is required when --system static")
+            raise UsageError(f"--sigma is required when {static_option}")
         return static(_parse_sigma(sigma_text))
     if sigma_text is not None:
-        raise UsageError("--sigma is only meaningful with --system static")
-    return _SYSTEM_KINDS[system]
+        raise UsageError(f"--sigma is only meaningful with {static_option}")
+    return CongruenceKind(tag)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -92,22 +98,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
     p_norm = sub.add_parser("normalize", help="print a term's normal form")
-    p_norm.add_argument("--system", required=True, choices=["free", "rp", "cr", "mem", "static"])
+    p_norm.add_argument("--system", required=True, choices=list(KIND_LEVEL))
     p_norm.add_argument("--sigma", help="evaluation order (static only)")
     p_norm.add_argument("term")
     add_out(p_norm)
 
     p_tree = sub.add_parser("tree", help="print a term's (transformed) evaluation tree")
-    p_tree.add_argument(
-        "--semantics", required=True, choices=["se", "rpse", "cse", "mse", "sse"]
-    )
+    p_tree.add_argument("--semantics", required=True, choices=list(_SEMANTICS_TAG))
     p_tree.add_argument("--sigma", help="evaluation order (sse only)")
     p_tree.add_argument("--format", default="text", choices=["text", "json", "dot"])
     p_tree.add_argument("term")
     add_out(p_tree)
 
     p_equiv = sub.add_parser("equiv", help="decide a valuation congruence")
-    p_equiv.add_argument("--system", required=True, choices=["free", "rp", "cr", "mem", "static"])
+    p_equiv.add_argument("--system", required=True, choices=list(KIND_LEVEL))
     p_equiv.add_argument("--sigma", help="evaluation order (static only)")
     p_equiv.add_argument("left")
     p_equiv.add_argument("right")
@@ -124,9 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(p_desugar)
 
     p_axioms = sub.add_parser("check-axioms", help="check an axiom system over a term pool")
-    p_axioms.add_argument(
-        "--system", required=True, choices=["CP", "CPrp", "CPcr", "CPmem", "CPs", "CPst"]
-    )
+    p_axioms.add_argument("--system", required=True, choices=list(SYSTEMS))
     p_axioms.add_argument("--pool-depth", type=int, default=1)
     add_out(p_axioms)
 
@@ -141,19 +143,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TREE_SEMANTICS = {"se": se, "rpse": rpse, "cse": cse, "mse": mse}
-
 # check-axioms instantiates over the basic forms on this fixed alphabet and
-# checks each system under its own congruence (sigma: the alphabet in order).
+# checks each system under its own congruence, the one at the system's
+# lattice height (sigma: the alphabet in order).
 _AXIOM_ALPHABET = (Atom("a"), Atom("b"))
-_AXIOM_SYSTEM_KIND = {
-    "CP": FREE,
-    "CPrp": RP,
-    "CPcr": CR,
-    "CPmem": MEM,
-    "CPs": static(Sigma(_AXIOM_ALPHABET)),
-    "CPst": static(Sigma(_AXIOM_ALPHABET)),
-}
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -165,14 +158,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     term = parse_term(args.term)
-    if args.semantics == "sse":
-        if args.sigma is None:
-            raise UsageError("--sigma is required when --semantics sse")
-        tree = sse(_parse_sigma(args.sigma), term)
-    else:
-        if args.sigma is not None:
-            raise UsageError("--sigma is only meaningful with --semantics sse")
-        tree = _TREE_SEMANTICS[args.semantics](term)
+    kind = _resolve_kind(_SEMANTICS_TAG[args.semantics], args.sigma, "--semantics sse")
+    tree = transformed_tree(term, kind)
     fmt = "ascii" if args.format == "text" else args.format
     _emit(render_tree(tree, fmt), args.out)
     return 0
@@ -204,7 +191,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     if args.pool_depth < 0:
         raise UsageError("--pool-depth must be nonnegative")
     pool = enumerate_basic_forms(_AXIOM_ALPHABET, args.pool_depth)
-    kind = _AXIOM_SYSTEM_KIND[args.system]
+    tag = _TAG_AT_LEVEL[SYSTEM_LEVEL[args.system]]
+    kind = CongruenceKind(tag, Sigma(_AXIOM_ALPHABET) if tag == "static" else None)
     reports = check_axioms(args.system, pool, kind)
     totals: Counter[str] = Counter()
     failures: Counter[str] = Counter()

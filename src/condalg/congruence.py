@@ -43,6 +43,11 @@ MAX_SIGMA_FOR_TABLES = 16
 # ---------------------------------------------------------------------------
 
 
+# The five congruences, finest first, with their height in the lattice.
+# Every per-congruence table below is derived from this one.
+KIND_LEVEL = {"free": 0, "rp": 1, "cr": 2, "mem": 3, "static": 4}
+
+
 @dataclass(frozen=True, slots=True)
 class CongruenceKind:
     """One of the five congruences; the static one carries its atom order."""
@@ -51,7 +56,7 @@ class CongruenceKind:
     sigma: Sigma | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in ("free", "rp", "cr", "mem", "static"):
+        if self.tag not in KIND_LEVEL:
             raise ValueError(f"unknown congruence tag: {self.tag!r}")
         if (self.tag == "static") != (self.sigma is not None):
             raise ValueError("exactly the static congruence carries a sigma")
@@ -72,32 +77,23 @@ def static(sigma: Sigma) -> CongruenceKind:
     return CongruenceKind("static", sigma)
 
 
+# The two routes deciding each congruence, keyed by tag; the static
+# functions take the evaluation order first.  Module-level dicts of plain
+# functions, so rebinding one of these functions by name reaches them too.
+TREE_ROUTES = dict(zip(KIND_LEVEL, (se, rpse, cse, mse, sse)))
+NORMAL_FORM_ROUTES = dict(zip(KIND_LEVEL, (bf, rpbf, cbf, mbf, sbf)))
+
+
 def transformed_tree(t: Term, kind: CongruenceKind) -> EvalTree:
     """The evaluation tree whose equality decides ``kind``."""
-    if kind.tag == "free":
-        return se(t)
-    if kind.tag == "rp":
-        return rpse(t)
-    if kind.tag == "cr":
-        return cse(t)
-    if kind.tag == "mem":
-        return mse(t)
-    assert kind.sigma is not None
-    return sse(kind.sigma, t)
+    route = TREE_ROUTES[kind.tag]
+    return route(t) if kind.sigma is None else route(kind.sigma, t)
 
 
 def normal_form(t: Term, kind: CongruenceKind) -> Term:
     """The syntactic normal form deciding ``kind``."""
-    if kind.tag == "free":
-        return bf(t)
-    if kind.tag == "rp":
-        return rpbf(t)
-    if kind.tag == "cr":
-        return cbf(t)
-    if kind.tag == "mem":
-        return mbf(t)
-    assert kind.sigma is not None
-    return sbf(kind.sigma, t)
+    route = NORMAL_FORM_ROUTES[kind.tag]
+    return route(t) if kind.sigma is None else route(kind.sigma, t)
 
 
 def equivalent(p: Term, q: Term, kind: CongruenceKind) -> bool:
@@ -386,10 +382,9 @@ SYSTEMS: dict[str, tuple[str, ...]] = {
     "CPst": ("CPstat", "contr2"),
 }
 
-# Lattice height of each system / congruence; a system's laws are sound
-# under every congruence at its own height or above.
+# Lattice height of each system, as in KIND_LEVEL; a system's laws are
+# sound under every congruence at its own height or above.
 SYSTEM_LEVEL = {"CP": 0, "CPrp": 1, "CPcr": 2, "CPmem": 3, "CPs": 4, "CPst": 4}
-KIND_LEVEL = {"free": 0, "rp": 1, "cr": 2, "mem": 3, "static": 4}
 
 DEFAULT_INSTANCE_BUDGET = 200_000
 

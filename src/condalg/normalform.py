@@ -13,6 +13,7 @@ raise NodeBudgetError instead of exhausting memory.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 from .errors import AlphabetCoverageError, NodeBudgetError, NotBasicFormError
 from .terms import (
@@ -38,6 +39,11 @@ class Side(Enum):
 
     TRUE = "true"
     FALSE = "false"
+
+
+# Looking up an enum member costs more than a module global, and the
+# normalizers test a side once per node.
+_TRUE, _FALSE = Side.TRUE, Side.FALSE
 
 
 class _Budget:
@@ -118,27 +124,39 @@ def bf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# The post-processing walk shared by rpf, cf and mf
+# ---------------------------------------------------------------------------
+
+
+def _branch(p: Cond, side: Side) -> Term:
+    """The outer branch of ``p`` that ``side`` selects."""
+    return p.true_branch if side is _TRUE else p.false_branch
+
+
+def _reduce(p: Term, aux: Callable[..., Term], budget: _Budget) -> Term:
+    # Rewrite each branch with the one-sided helper ``aux`` for its side of
+    # the central atom, then recurse into the result.
+    if not isinstance(p, Cond):
+        return p
+    a = p.condition.atom
+    left = _reduce(aux(_TRUE, a, p.true_branch, budget), aux, budget)
+    right = _reduce(aux(_FALSE, a, p.false_branch, budget), aux, budget)
+    if left is p.true_branch and right is p.false_branch:
+        return p
+    budget.spend()
+    return Cond(left, p.condition, right)
+
+
+# ---------------------------------------------------------------------------
 # Repetition-proof normalizer
 # ---------------------------------------------------------------------------
 
 
-def _rp_true(a: Atom, p: Term, budget: _Budget) -> Term:
-    # Along the true side, a repeated atom's branches collapse to two
-    # copies of the transformed true branch.
-    if not isinstance(p, Cond):
-        return p
-    if p.condition.atom == a:
-        sub = _rp_true(a, p.true_branch, budget)
-        budget.spend()
-        return Cond(sub, p.condition, sub)
-    return p
-
-
-def _rp_false(a: Atom, p: Term, budget: _Budget) -> Term:
-    if not isinstance(p, Cond):
-        return p
-    if p.condition.atom == a:
-        sub = _rp_false(a, p.false_branch, budget)
+def _rp(side: Side, a: Atom, p: Term, budget: _Budget) -> Term:
+    # Along one side, a repeated atom's branches collapse to two copies of
+    # that side's transformed branch.
+    if isinstance(p, Cond) and p.condition.atom == a:
+        sub = _rp(side, a, _branch(p, side), budget)
         budget.spend()
         return Cond(sub, p.condition, sub)
     return p
@@ -149,22 +167,11 @@ def rp_aux(side: Side, a: Atom, p: Term) -> Term:
     basic form whose central atom repeats ``a`` into the duplicated shape;
     anything else is returned unchanged."""
     _require_basic(p, "rp_aux")
-    budget = _Budget(DEFAULT_NODE_BUDGET)
-    if side is Side.TRUE:
-        return _rp_true(a, p, budget)
-    return _rp_false(a, p, budget)
+    return _rp(side, a, p, _Budget(DEFAULT_NODE_BUDGET))
 
 
 def _rpf(p: Term, budget: _Budget) -> Term:
-    if not isinstance(p, Cond):
-        return p
-    a = p.condition.atom
-    left = _rpf(_rp_true(a, p.true_branch, budget), budget)
-    right = _rpf(_rp_false(a, p.false_branch, budget), budget)
-    if left is p.true_branch and right is p.false_branch:
-        return p
-    budget.spend()
-    return Cond(left, p.condition, right)
+    return _reduce(p, _rp, budget)
 
 
 def rpf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
@@ -183,15 +190,10 @@ def rpbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _cr_true(a: Atom, p: Term) -> Term:
+def _cr(side: Side, a: Atom, p: Term, budget: _Budget | None) -> Term:
+    # Stripping builds no node, so the budget goes unused.
     while isinstance(p, Cond) and p.condition.atom == a:
-        p = p.true_branch
-    return p
-
-
-def _cr_false(a: Atom, p: Term) -> Term:
-    while isinstance(p, Cond) and p.condition.atom == a:
-        p = p.false_branch
+        p = _branch(p, side)
     return p
 
 
@@ -199,19 +201,11 @@ def cr_aux(side: Side, a: Atom, p: Term) -> Term:
     """The one-sided helper of the contractive normalizer: strips repeated
     central occurrences of ``a`` off a basic form."""
     _require_basic(p, "cr_aux")
-    return _cr_true(a, p) if side is Side.TRUE else _cr_false(a, p)
+    return _cr(side, a, p, None)
 
 
 def _cf(p: Term, budget: _Budget) -> Term:
-    if not isinstance(p, Cond):
-        return p
-    a = p.condition.atom
-    left = _cf(_cr_true(a, p.true_branch), budget)
-    right = _cf(_cr_false(a, p.false_branch), budget)
-    if left is p.true_branch and right is p.false_branch:
-        return p
-    budget.spend()
-    return Cond(left, p.condition, right)
+    return _reduce(p, _cr, budget)
 
 
 def cf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
@@ -230,26 +224,13 @@ def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _mem_true(a: Atom, p: Term, budget: _Budget) -> Term:
+def _mem(side: Side, a: Atom, p: Term, budget: _Budget) -> Term:
     if not isinstance(p, Cond):
         return p
     if p.condition.atom == a:
-        return _mem_true(a, p.true_branch, budget)
-    left = _mem_true(a, p.true_branch, budget)
-    right = _mem_true(a, p.false_branch, budget)
-    if left is p.true_branch and right is p.false_branch:
-        return p
-    budget.spend()
-    return Cond(left, p.condition, right)
-
-
-def _mem_false(a: Atom, p: Term, budget: _Budget) -> Term:
-    if not isinstance(p, Cond):
-        return p
-    if p.condition.atom == a:
-        return _mem_false(a, p.false_branch, budget)
-    left = _mem_false(a, p.true_branch, budget)
-    right = _mem_false(a, p.false_branch, budget)
+        return _mem(side, a, _branch(p, side), budget)
+    left = _mem(side, a, p.true_branch, budget)
+    right = _mem(side, a, p.false_branch, budget)
     if left is p.true_branch and right is p.false_branch:
         return p
     budget.spend()
@@ -260,22 +241,11 @@ def mem_aux(side: Side, a: Atom, p: Term) -> Term:
     """The one-sided helper of the memorizing normalizer: resolves every
     occurrence of ``a`` in a basic form to the chosen side."""
     _require_basic(p, "mem_aux")
-    budget = _Budget(DEFAULT_NODE_BUDGET)
-    if side is Side.TRUE:
-        return _mem_true(a, p, budget)
-    return _mem_false(a, p, budget)
+    return _mem(side, a, p, _Budget(DEFAULT_NODE_BUDGET))
 
 
 def _mf(p: Term, budget: _Budget) -> Term:
-    if not isinstance(p, Cond):
-        return p
-    a = p.condition.atom
-    left = _mf(_mem_true(a, p.true_branch, budget), budget)
-    right = _mf(_mem_false(a, p.false_branch, budget), budget)
-    if left is p.true_branch and right is p.false_branch:
-        return p
-    budget.spend()
-    return Cond(left, p.condition, right)
+    return _reduce(p, _mem, budget)
 
 
 def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import OracleError, TermSyntaxError
-from .terms import Atom, AtomTerm, Cond, FALSE, TRUE, Term, format_atom
+from .terms import Atom, AtomTerm, Cond, FALSE, TRUE, Term, TokenCursor, format_atom
 
 # ---------------------------------------------------------------------------
 # Expression language
@@ -73,102 +73,61 @@ SC_TRUE = SclTrue()
 SC_FALSE = SclFalse()
 
 
-# Tokenizer shared by the connective grammar: `!` binds tightest, `&&`
-# over `||`, both left-associative; atoms as in the term grammar.
+# The connective grammar: `!` binds tightest, `&&` over `||`, both
+# left-associative; atoms as in the term grammar.
 
 _SC_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<and>&&) | (?P<or>\|\|) | (?P<not>!) |
+    r"""(?P<and>&&) | (?P<or>\|\|) | (?P<not>!) |
         (?P<lparen>\() | (?P<rparen>\)) |
-        (?P<quoted>"[^"]*") | (?P<ident>[a-z][a-z0-9_]*)
-    )""",
+        (?P<quoted>"[^"]*") | (?P<ident>[a-z][a-z0-9_]*)""",
     re.VERBOSE,
 )
 
 _KEYWORDS = {"true": SC_TRUE, "false": SC_FALSE}
 
 
-def _sc_tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _SC_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
+def _sc_or(cur: TokenCursor) -> SclExpr:
+    expr = _sc_and(cur)
+    while cur.peek() == "or":
+        cur.take()
+        expr = SclOr(expr, _sc_and(cur))
+    return expr
 
 
-class _ScParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.length = length
+def _sc_and(cur: TokenCursor) -> SclExpr:
+    expr = _sc_unary(cur)
+    while cur.peek() == "and":
+        cur.take()
+        expr = SclAnd(expr, _sc_unary(cur))
+    return expr
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise TermSyntaxError("unexpected end of input", self.length)
-        self.i += 1
-        return tok
-
-    def parse_or(self) -> SclExpr:
-        expr = self.parse_and()
-        while (tok := self.peek()) is not None and tok[0] == "or":
-            self.take()
-            expr = SclOr(expr, self.parse_and())
-        return expr
-
-    def parse_and(self) -> SclExpr:
-        expr = self.parse_unary()
-        while (tok := self.peek()) is not None and tok[0] == "and":
-            self.take()
-            expr = SclAnd(expr, self.parse_unary())
-        return expr
-
-    def parse_unary(self) -> SclExpr:
-        tok = self.take()
-        kind, text, pos = tok
-        if kind == "not":
-            return SclNot(self.parse_unary())
-        if kind == "lparen":
-            inner = self.parse_or()
-            closing = self.take()
-            if closing[0] != "rparen":
-                raise TermSyntaxError("expected ')'", closing[2])
-            return inner
-        if kind == "quoted":
-            name = text[1:-1]
-            if not name:
-                raise TermSyntaxError("empty quoted atom", pos)
-            return SclAtom(Atom(name))
-        if kind == "ident":
-            if text in _KEYWORDS:
-                return _KEYWORDS[text]
-            return SclAtom(Atom(text))
-        raise TermSyntaxError(f"unexpected token {text!r}", pos)
+def _sc_unary(cur: TokenCursor) -> SclExpr:
+    kind, text, pos = cur.take()
+    if kind == "not":
+        return SclNot(_sc_unary(cur))
+    if kind == "lparen":
+        inner = _sc_or(cur)
+        cur.expect("rparen", "')'")
+        return inner
+    if kind == "quoted":
+        name = text[1:-1]
+        if not name:
+            raise TermSyntaxError("empty quoted atom", pos)
+        return SclAtom(Atom(name))
+    if kind == "ident":
+        if text in _KEYWORDS:
+            return _KEYWORDS[text]
+        return SclAtom(Atom(text))
+    raise TermSyntaxError(f"unexpected token {text!r}", pos)
 
 
 def parse_sc(text: str) -> SclExpr:
     """Parse a short-circuit expression (``!``, ``&&``, ``||``,
     ``true``/``false``, atoms, parentheses)."""
-    tokens = _sc_tokenize(text)
-    if not tokens:
-        raise TermSyntaxError("empty input", 0)
-    parser = _ScParser(tokens, len(text))
-    expr = parser.parse_or()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise TermSyntaxError(f"trailing input {trailing[1]!r}", trailing[2])
+    cur = TokenCursor(_SC_TOKEN_RE, text, TermSyntaxError)
+    expr = _sc_or(cur)
+    cur.finish()
     return expr
 
 
@@ -226,78 +185,46 @@ def desugar(e: SclExpr) -> Term:
 _REGISTER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
-def _expr_tokens(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        c = text[pos]
-        if c.isspace():
-            pos += 1
-        elif c in "+-()":
-            tokens.append((c, c))
-            pos += 1
-        elif c.isdigit():
-            m = re.match(r"[0-9]+", text[pos:])
-            assert m is not None
-            tokens.append(("int", m.group(0)))
-            pos += len(m.group(0))
-        else:
-            m = re.match(r"[a-z][a-z0-9_]*", text[pos:])
-            if m is None:
-                raise OracleError(f"bad character {c!r} in register expression")
-            tokens.append(("name", m.group(0)))
-            pos += len(m.group(0))
-    return tokens
+_EXPR_TOKEN_RE = re.compile(
+    r"(?P<int>[0-9]+) | (?P<name>[a-z][a-z0-9_]*) | (?P<sign>[-+]) | (?P<lparen>\() | (?P<rparen>\))",
+    re.VERBOSE,
+)
 
 
-class _ExprEval:
-    """Evaluator for register expressions: integers, register names,
-    binary + and -, parentheses."""
+def _expr_error(message: str, position: int) -> OracleError:
+    return OracleError(f"{message} in register expression")
 
-    def __init__(self, tokens: list[tuple[str, str]], state: Mapping[str, int]):
-        self.tokens = tokens
-        self.state = state
-        self.i = 0
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+def _eval_sum(cur: TokenCursor, state: Mapping[str, int]) -> int:
+    value = _eval_primary(cur, state)
+    while cur.peek() == "sign":
+        _, sign, _ = cur.take()
+        rhs = _eval_primary(cur, state)
+        value = value + rhs if sign == "+" else value - rhs
+    return value
 
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise OracleError("register expression ends unexpectedly")
-        self.i += 1
-        return tok
 
-    def sum_expr(self) -> int:
-        value = self.primary()
-        while (tok := self.peek()) is not None and tok[0] in "+-":
-            self.take()
-            rhs = self.primary()
-            value = value + rhs if tok[0] == "+" else value - rhs
+def _eval_primary(cur: TokenCursor, state: Mapping[str, int]) -> int:
+    kind, text, pos = cur.take()
+    if kind == "int":
+        return int(text)
+    if kind == "name":
+        if text not in state:
+            raise OracleError(f"unknown register {text!r}")
+        return state[text]
+    if kind == "lparen":
+        value = _eval_sum(cur, state)
+        cur.expect("rparen", "')'")
         return value
-
-    def primary(self) -> int:
-        kind, text = self.take()
-        if kind == "int":
-            return int(text)
-        if kind == "name":
-            if text not in self.state:
-                raise OracleError(f"unknown register {text!r}")
-            return self.state[text]
-        if kind == "(":
-            value = self.sum_expr()
-            if self.take()[0] != ")":
-                raise OracleError("expected ')' in register expression")
-            return value
-        raise OracleError(f"unexpected {text!r} in register expression")
+    raise cur.error(f"unexpected {text!r}", pos)
 
 
 def _eval_register_expr(text: str, state: Mapping[str, int]) -> int:
-    evaluator = _ExprEval(_expr_tokens(text), state)
-    value = evaluator.sum_expr()
-    if evaluator.peek() is not None:
-        raise OracleError(f"trailing input in register expression: {text!r}")
+    """Evaluate a register expression: integers, register names, binary
+    + and -, parentheses."""
+    cur = TokenCursor(_EXPR_TOKEN_RE, text, _expr_error)
+    value = _eval_sum(cur, state)
+    cur.finish()
     return value
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateAtomError, TermSyntaxError
 
@@ -141,6 +141,69 @@ def atom(name: str) -> AtomTerm:
 
 
 # ---------------------------------------------------------------------------
+# Token cursor, shared by the term, short-circuit and register grammars
+# ---------------------------------------------------------------------------
+
+_SPACE_RE = re.compile(r"\s*")
+
+Token = tuple[str, str, int]  # (kind, text, position)
+
+
+class TokenCursor:
+    """The tokens of ``text``, split by one regex whose named groups are the
+    token kinds, with whitespace between tokens skipped.
+
+    The whole text is split up front, so a stray character is reported
+    before any grammar error.  Malformed or empty input raises
+    ``error(message, position)``.
+    """
+
+    def __init__(
+        self,
+        pattern: re.Pattern[str],
+        text: str,
+        error: Callable[[str, int], Exception],
+    ):
+        self.text = text
+        self.error = error
+        self.tokens: list[Token] = []
+        self.i = 0
+        pos = _SPACE_RE.match(text).end()
+        while pos < len(text):
+            m = pattern.match(text, pos)
+            if m is None:
+                raise error(f"unexpected character {text[pos]!r}", pos)
+            self.tokens.append((m.lastgroup, m.group(), pos))
+            pos = _SPACE_RE.match(text, m.end()).end()
+        if not self.tokens:
+            raise error("empty input", 0)
+
+    def peek(self) -> str | None:
+        """The kind of the next token, or None at the end."""
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def take(self) -> Token:
+        if self.i == len(self.tokens):
+            raise self.error("unexpected end of input", len(self.text))
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def expect(self, kind: str, shown: str) -> Token:
+        """Take the next token, which must be of ``kind`` (``shown`` in
+        messages)."""
+        token = self.take()
+        if token[0] != kind:
+            raise self.error(f"expected {shown}, found {token[1]!r}", token[2])
+        return token
+
+    def finish(self) -> None:
+        """Require that every token has been taken."""
+        if self.i < len(self.tokens):
+            _, text, pos = self.tokens[self.i]
+            raise self.error(f"trailing input {text!r}", pos)
+
+
+# ---------------------------------------------------------------------------
 # Concrete syntax
 #
 #   term    := 'T' | 'F' | atom | cond
@@ -149,127 +212,38 @@ def atom(name: str) -> AtomTerm:
 #   atom    := [a-z][a-z0-9_]* | '"' any-non-quote-chars '"'
 # ---------------------------------------------------------------------------
 
-_TOK_TRUE = "TRUE"
-_TOK_FALSE = "FALSE"
-_TOK_ATOM = "ATOM"
-_TOK_LPAREN = "("
-_TOK_RPAREN = ")"
-_TOK_LTRI = "<|"
-_TOK_RTRI = "|>"
+# An empty or unterminated quote matches no token, so it is reported as a
+# stray quote character.
+_TERM_TOKEN_RE = re.compile(
+    r"""(?P<true>T) | (?P<false>F) | (?P<lparen>\() | (?P<rparen>\)) |
+        (?P<ltri><\|) | (?P<rtri>\|>) |
+        (?P<quoted>"[^"]+") | (?P<ident>[a-z][a-z0-9_]*)""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+def _operand(cur: TokenCursor) -> Term:
+    kind, text, pos = cur.take()
+    if kind == "true":
+        return TRUE
+    if kind == "false":
+        return FALSE
+    if kind == "ident":
+        return AtomTerm(Atom(text))
+    if kind == "quoted":
+        return AtomTerm(Atom(text[1:-1]))
+    if kind == "lparen":
+        inner = _cond(cur, _operand(cur))
+        cur.expect("rparen", "')'")
+        return inner
+    raise TermSyntaxError(f"unexpected token {text!r}", pos)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "T":
-            tokens.append(_Token(_TOK_TRUE, "T", i))
-            i += 1
-        elif c == "F":
-            tokens.append(_Token(_TOK_FALSE, "F", i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token(_TOK_LPAREN, "(", i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token(_TOK_RPAREN, ")", i))
-            i += 1
-        elif text.startswith("<|", i):
-            tokens.append(_Token(_TOK_LTRI, "<|", i))
-            i += 2
-        elif text.startswith("|>", i):
-            tokens.append(_Token(_TOK_RTRI, "|>", i))
-            i += 2
-        elif c == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise TermSyntaxError("unterminated quoted atom", i)
-            name = text[i + 1 : end]
-            if not name:
-                raise TermSyntaxError("empty quoted atom", i)
-            tokens.append(_Token(_TOK_ATOM, name, i))
-            i = end + 1
-        else:
-            m = re.match(r"[a-z][a-z0-9_]*", text[i:])
-            if m is None:
-                raise TermSyntaxError(f"unexpected character {c!r}", i)
-            tokens.append(_Token(_TOK_ATOM, m.group(0), i))
-            i += len(m.group(0))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.length = length
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise TermSyntaxError("unexpected end of input", self.length)
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise TermSyntaxError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
-        return tok
-
-    def operand(self) -> Term:
-        tok = self.take()
-        if tok.kind == _TOK_TRUE:
-            return TRUE
-        if tok.kind == _TOK_FALSE:
-            return FALSE
-        if tok.kind == _TOK_ATOM:
-            return AtomTerm(Atom(tok.text))
-        if tok.kind == _TOK_LPAREN:
-            inner = self.cond()
-            self.expect(_TOK_RPAREN)
-            return inner
-        raise TermSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
-
-    def cond(self) -> Cond:
-        left = self.operand()
-        tri = self.take()
-        if tri.kind != _TOK_LTRI:
-            raise TermSyntaxError(f"expected '<|', found {tri.text!r}", tri.pos)
-        mid = self.operand()
-        self.expect(_TOK_RTRI)
-        right = self.operand()
-        return Cond(left, mid, right)
-
-    def term(self) -> Term:
-        first = self.operand()
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == _TOK_LTRI:
-            self.take()
-            mid = self.operand()
-            self.expect(_TOK_RTRI)
-            right = self.operand()
-            first = Cond(first, mid, right)
-        trailing = self.peek()
-        if trailing is not None:
-            raise TermSyntaxError(
-                f"trailing input {trailing.text!r}", trailing.pos
-            )
-        return first
+def _cond(cur: TokenCursor, left: Term) -> Cond:
+    cur.expect("ltri", "'<|'")
+    mid = _operand(cur)
+    cur.expect("rtri", "'|>'")
+    return Cond(left, mid, _operand(cur))
 
 
 def parse_term(text: str) -> Term:
@@ -278,10 +252,12 @@ def parse_term(text: str) -> Term:
     Raises TermSyntaxError (with a character position) on malformed or
     empty input.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise TermSyntaxError("empty input", 0)
-    return _Parser(tokens, len(text)).term()
+    cur = TokenCursor(_TERM_TOKEN_RE, text, TermSyntaxError)
+    term = _operand(cur)
+    if cur.peek() == "ltri":
+        term = _cond(cur, term)
+    cur.finish()
+    return term
 
 
 def render_term(t: Term) -> str:

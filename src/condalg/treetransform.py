@@ -12,9 +12,32 @@ congruent exactly when their transformed trees are equal:
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .evaltrees import EvalTree, Leaf, Node, se
 from .normalform import Side, check_alphabet, e_sigma
 from .terms import Atom, Cond, Sigma, TRUE, Term
+
+# Looking up an enum member costs more than a module global, and the
+# transforms test a side once per node.
+_TRUE, _FALSE = Side.TRUE, Side.FALSE
+
+
+def _child(x: Node, side: Side) -> EvalTree:
+    """The subtree of ``x`` taken when its atom answers ``side``."""
+    return x.left if side is _TRUE else x.right
+
+
+def _walk(x: EvalTree, aux: Callable[[Side, Atom, EvalTree], EvalTree]) -> EvalTree:
+    # Rewrite each subtree with the one-sided helper ``aux`` for the answer
+    # that leads into it, then recurse into the result.
+    if isinstance(x, Leaf):
+        return x
+    left = _walk(aux(_TRUE, x.atom, x.left), aux)
+    right = _walk(aux(_FALSE, x.atom, x.right), aux)
+    if left is x.left and right is x.right:
+        return x
+    return Node(x.atom, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -22,39 +45,18 @@ from .terms import Atom, Cond, Sigma, TRUE, Term
 # ---------------------------------------------------------------------------
 
 
-def _rp_true(a: Atom, x: EvalTree) -> EvalTree:
-    if isinstance(x, Leaf):
-        return x
-    if x.atom == a:
-        sub = _rp_true(a, x.left)
-        return Node(a, sub, sub)
-    return x
-
-
-def _rp_false(a: Atom, x: EvalTree) -> EvalTree:
-    if isinstance(x, Leaf):
-        return x
-    if x.atom == a:
-        sub = _rp_false(a, x.right)
-        return Node(a, sub, sub)
-    return x
-
-
 def rp_tree_aux(side: Side, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``rp``: duplicates the surviving branch when the
     root repeats ``a``; leaves and other roots pass through."""
-    return _rp_true(a, x) if side is Side.TRUE else _rp_false(a, x)
+    if isinstance(x, Node) and x.atom == a:
+        sub = rp_tree_aux(side, a, _child(x, side))
+        return Node(a, sub, sub)
+    return x
 
 
 def rp(x: EvalTree) -> EvalTree:
     """Repetition-proof transform of an evaluation tree."""
-    if isinstance(x, Leaf):
-        return x
-    left = rp(_rp_true(x.atom, x.left))
-    right = rp(_rp_false(x.atom, x.right))
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
+    return _walk(x, rp_tree_aux)
 
 
 def rpse(t: Term) -> EvalTree:
@@ -67,32 +69,16 @@ def rpse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def _cr_true(a: Atom, x: EvalTree) -> EvalTree:
-    while isinstance(x, Node) and x.atom == a:
-        x = x.left
-    return x
-
-
-def _cr_false(a: Atom, x: EvalTree) -> EvalTree:
-    while isinstance(x, Node) and x.atom == a:
-        x = x.right
-    return x
-
-
 def cr_tree_aux(side: Side, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``cr``: strips repeated root queries of ``a``."""
-    return _cr_true(a, x) if side is Side.TRUE else _cr_false(a, x)
+    while isinstance(x, Node) and x.atom == a:
+        x = _child(x, side)
+    return x
 
 
 def cr(x: EvalTree) -> EvalTree:
     """Contractive transform of an evaluation tree."""
-    if isinstance(x, Leaf):
-        return x
-    left = cr(_cr_true(x.atom, x.left))
-    right = cr(_cr_false(x.atom, x.right))
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
+    return _walk(x, cr_tree_aux)
 
 
 def cse(t: Term) -> EvalTree:
@@ -105,45 +91,23 @@ def cse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def _mem_true(a: Atom, x: EvalTree) -> EvalTree:
-    if isinstance(x, Leaf):
-        return x
-    if x.atom == a:
-        return _mem_true(a, x.left)
-    left = _mem_true(a, x.left)
-    right = _mem_true(a, x.right)
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
-
-
-def _mem_false(a: Atom, x: EvalTree) -> EvalTree:
-    if isinstance(x, Leaf):
-        return x
-    if x.atom == a:
-        return _mem_false(a, x.right)
-    left = _mem_false(a, x.left)
-    right = _mem_false(a, x.right)
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
-
-
 def mem_tree_aux(side: Side, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``mem``: resolves every later query of ``a`` to
     the remembered answer."""
-    return _mem_true(a, x) if side is Side.TRUE else _mem_false(a, x)
+    if isinstance(x, Leaf):
+        return x
+    if x.atom == a:
+        return mem_tree_aux(side, a, _child(x, side))
+    left = mem_tree_aux(side, a, x.left)
+    right = mem_tree_aux(side, a, x.right)
+    if left is x.left and right is x.right:
+        return x
+    return Node(x.atom, left, right)
 
 
 def mem(x: EvalTree) -> EvalTree:
     """Memorizing transform of an evaluation tree."""
-    if isinstance(x, Leaf):
-        return x
-    left = mem(_mem_true(x.atom, x.left))
-    right = mem(_mem_false(x.atom, x.right))
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
+    return _walk(x, mem_tree_aux)
 
 
 def mse(t: Term) -> EvalTree:

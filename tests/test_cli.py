@@ -258,3 +258,88 @@ def test_unknown_command_exits_two(capsys):
         main(["frobnicate"])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# dispatch: every congruence the CLI names agrees with the library route
+# ---------------------------------------------------------------------------
+
+SIGMA_AB = c.Sigma.of("a", "b")
+
+# (--system value, --sigma arguments, the congruence it names)
+CLI_SYSTEMS = [
+    ("free", (), c.FREE),
+    ("rp", (), c.RP),
+    ("cr", (), c.CR),
+    ("mem", (), c.MEM),
+    ("static", ("--sigma", "ab"), c.static(SIGMA_AB)),
+]
+
+# (--semantics value, --sigma arguments, the congruence its tree decides)
+CLI_SEMANTICS = [
+    ("se", (), c.FREE),
+    ("rpse", (), c.RP),
+    ("cse", (), c.CR),
+    ("mse", (), c.MEM),
+    ("sse", ("--sigma", "ab"), c.static(SIGMA_AB)),
+]
+
+# A term every transform changes differently, and pairs separating the
+# lattice levels.
+DISPATCH_TERM = "((a <| a |> F) <| (b <| a |> F) |> a) <| a |> (b <| a |> (T <| a |> F))"
+DISPATCH_PAIRS = [
+    ("T <| a |> a", "T <| a |> (F <| a |> F)"),
+    ("(T <| a |> F) <| a |> F", "T <| a |> F"),
+    ("T <| a |> (F <| b |> (T <| a |> F))", "T <| a |> (F <| b |> F)"),
+    ("F <| a |> F", "F"),
+    ("a <| b |> F", "b <| a |> F"),
+]
+
+
+@pytest.mark.parametrize("system,sigma_args,kind", CLI_SYSTEMS)
+def test_normalize_dispatch_matches_library(capsys, system, sigma_args, kind):
+    code, out, _ = run(capsys, "normalize", "--system", system, *sigma_args, DISPATCH_TERM)
+    assert code == 0
+    assert out == c.render_term(c.normal_form(c.parse_term(DISPATCH_TERM), kind)) + "\n"
+
+
+@pytest.mark.parametrize("system,sigma_args,kind", CLI_SYSTEMS)
+def test_equiv_dispatch_matches_library(capsys, system, sigma_args, kind):
+    for left, right in DISPATCH_PAIRS:
+        same = c.equivalent(c.parse_term(left), c.parse_term(right), kind)
+        code, out, _ = run(capsys, "equiv", "--system", system, *sigma_args, left, right)
+        assert (code, out) == ((0, "equivalent\n") if same else (1, "not equivalent\n"))
+
+
+@pytest.mark.parametrize("semantics,sigma_args,kind", CLI_SEMANTICS)
+def test_tree_dispatch_matches_library(capsys, semantics, sigma_args, kind):
+    code, out, _ = run(capsys, "tree", "--semantics", semantics, *sigma_args, DISPATCH_TERM)
+    assert code == 0
+    tree = c.transformed_tree(c.parse_term(DISPATCH_TERM), kind)
+    assert out == c.render_tree(tree) + "\n"
+
+
+@pytest.mark.parametrize(
+    "system,kind_name",
+    [
+        ("CP", "free"),
+        ("CPrp", "rp"),
+        ("CPcr", "cr"),
+        ("CPmem", "mem"),
+        ("CPs", "static(ab)"),
+        ("CPst", "static(ab)"),
+    ],
+)
+def test_check_axioms_runs_each_system_under_its_own_kind(capsys, system, kind_name):
+    code, out, _ = run(capsys, "check-axioms", "--system", system, "--pool-depth", "0")
+    assert code == 0
+    assert out.splitlines()[0] == f"system {system} under {kind_name}: pool of 2 terms"
+    assert "FAIL" not in out
+
+
+def test_eval_non_ascii_digit_is_an_input_error(capsys):
+    # '²' passes str.isdigit but is no digit of the register grammar
+    code, out, err = run(capsys, "eval", "--state", "n=0", '"(n==²)"')
+    assert code == 2
+    assert out == ""
+    assert "register expression" in err
