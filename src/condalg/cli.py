@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for ``equiv``: equivalent), 1 negative result
 (``equiv``: not equivalent; ``check-axioms``: some instance failed),
-2 usage or input errors, 3 resource budget exhausted.
+2 usage or input errors, 3 resource budget exhausted (also for input
+nested too deeply to process).
 """
 
 from __future__ import annotations
@@ -245,16 +246,22 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if sys.getrecursionlimit() < 20_000:
-        sys.setrecursionlimit(20_000)
+    # The parsers and transforms recurse once per nesting level.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
     try:
         return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"condalg: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("condalg: input nested too deeply", file=sys.stderr)
+        return 3
     except (UsageError, CondAlgError, ValueError) as exc:
         print(f"condalg: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

@@ -90,19 +90,24 @@ def leaf_replace(x: EvalTree, for_true: EvalTree, for_false: EvalTree) -> EvalTr
     )
 
 
+def _se(t: Term, kt: EvalTree, kf: EvalTree) -> EvalTree:
+    # ``leaf_replace(se(t), kt, kf)``, built directly: the branches' trees
+    # are built onto kt and kf and become the condition's continuations.
+    if isinstance(t, Cond):
+        return _se(t.condition, _se(t.true_branch, kt, kf), _se(t.false_branch, kt, kf))
+    if isinstance(t, AtomTerm):
+        return Node(t.atom, kt, kf)
+    return kt if isinstance(t, TrueConst) else kf
+
+
 def se(t: Term) -> EvalTree:
     """The evaluation tree of a term under short-circuit evaluation.
 
-    The condition's tree is computed first; its true leaves become the
-    true branch's tree and its false leaves the false branch's tree.
+    The tree of ``P <| Q |> R`` is the condition's tree with its true
+    leaves replaced by P's tree and its false leaves by R's
+    (``leaf_replace``), built in one pass that shares those trees.
     """
-    if isinstance(t, TrueConst):
-        return LEAF_T
-    if isinstance(t, FalseConst):
-        return LEAF_F
-    if isinstance(t, AtomTerm):
-        return Node(t.atom, LEAF_T, LEAF_F)
-    return leaf_replace(se(t.condition), se(t.true_branch), se(t.false_branch))
+    return _se(t, LEAF_T, LEAF_F)
 
 
 # ---------------------------------------------------------------------------

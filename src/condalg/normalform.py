@@ -5,9 +5,10 @@ post-process that basic form for the repetition-proof, contractive and
 memorizing congruences; ``sbf`` layers a term over a fixed evaluation
 order for the static congruence.
 
-Substitution duplicates branches, so outputs can grow exponentially.  All
-normalizers are guarded by a node budget (default one million nodes) and
-raise NodeBudgetError instead of exhausting memory.
+``bf`` shares subterms, so the objects it builds are linear in the term,
+but counted as a tree a normal form can grow exponentially.  Every
+normalizer bounds that tree size by a node budget (default one million
+nodes) and raises NodeBudgetError instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .terms import (
     AtomTerm,
     Cond,
     FALSE,
-    FalseConst,
     Sigma,
     TRUE,
     Term,
@@ -69,20 +69,32 @@ def _require_basic(p: Term, func: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Basic forms: leaf substitution and bf
+# Basic forms: bf and leaf substitution
 # ---------------------------------------------------------------------------
 
 
-def _subst(p: Term, for_true: Term, for_false: Term) -> Term:
-    if isinstance(p, TrueConst):
-        return for_true
-    if isinstance(p, FalseConst):
-        return for_false
-    return Cond(
-        _subst(p.true_branch, for_true, for_false),
-        p.condition,
-        _subst(p.false_branch, for_true, for_false),
-    )
+def _bf(t: Term, kt: tuple[Term, int], kf: tuple[Term, int]) -> tuple[Term, int]:
+    # (basic form, size counted as a tree) of ``t`` with its T leaves
+    # replaced by kt's form and its F leaves by kf's, built in one pass
+    # that shares kt and kf rather than copying them.
+    if isinstance(t, Cond):
+        return _bf(t.condition, _bf(t.true_branch, kt, kf), _bf(t.false_branch, kt, kf))
+    if isinstance(t, AtomTerm):
+        return Cond(kt[0], t, kf[0]), 1 + kt[1] + kf[1]
+    return kt if isinstance(t, TrueConst) else kf
+
+
+def bf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
+    """The basic form of a term: constants stay, an atom becomes
+    ``T <| a |> F``, and a conditional substitutes its branches' basic
+    forms into its condition's.  Raises NodeBudgetError if the result,
+    counted as a tree, has more than ``node_budget`` nodes."""
+    form, size = _bf(t, (TRUE, 1), (FALSE, 1))
+    if size > node_budget:
+        raise NodeBudgetError(
+            f"basic form would have {size} nodes, exceeding the budget of {node_budget}"
+        )
+    return form
 
 
 def subst_tf(p: Term, for_true: Term, for_false: Term) -> Term:
@@ -92,35 +104,8 @@ def subst_tf(p: Term, for_true: Term, for_false: Term) -> Term:
     _require_basic(p, "subst_tf")
     _require_basic(for_true, "subst_tf")
     _require_basic(for_false, "subst_tf")
-    return _subst(p, for_true, for_false)
-
-
-def _bf(t: Term, budget: int) -> tuple[Term, int, int, int]:
-    # Returns (basic form, node count, T-leaf count, F-leaf count); the
-    # counts are computed arithmetically so oversized results are rejected
-    # before they are built.
-    if isinstance(t, TrueConst):
-        return TRUE, 1, 1, 0
-    if isinstance(t, FalseConst):
-        return FALSE, 1, 0, 1
-    if isinstance(t, AtomTerm):
-        return Cond(TRUE, t, FALSE), 3, 1, 1
-    bp, sp, tp, fp = _bf(t.true_branch, budget)
-    bq, sq, tq, fq = _bf(t.condition, budget)
-    br, sr, tr, fr = _bf(t.false_branch, budget)
-    size = (sq - tq - fq) + tq * sp + fq * sr
-    if size > budget:
-        raise NodeBudgetError(
-            f"basic form would have {size} nodes, exceeding the budget of {budget}"
-        )
-    return _subst(bq, bp, br), size, tq * tp + fq * tr, tq * fp + fq * fr
-
-
-def bf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
-    """The basic form of a term: constants stay, an atom becomes
-    ``T <| a |> F``, and a conditional substitutes its branches' basic
-    forms into its condition's."""
-    return _bf(t, node_budget)[0]
+    # A basic form is its own bf; the sizes are not needed here.
+    return _bf(p, (for_true, 0), (for_false, 0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +167,7 @@ def rpf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 
 def rpbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Repetition-proof normal form of an arbitrary term."""
-    return _rpf(_bf(t, node_budget)[0], _Budget(node_budget))
+    return _rpf(bf(t, node_budget=node_budget), _Budget(node_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +201,7 @@ def cf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 
 def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Contractive normal form of an arbitrary term."""
-    return _cf(_bf(t, node_budget)[0], _Budget(node_budget))
+    return _cf(bf(t, node_budget=node_budget), _Budget(node_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +241,7 @@ def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 
 def mbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Memorizing normal form of an arbitrary term."""
-    return _mf(_bf(t, node_budget)[0], _Budget(node_budget))
+    return _mf(bf(t, node_budget=node_budget), _Budget(node_budget))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,8 @@ def desugar(e: SclExpr) -> Term:
 # ---------------------------------------------------------------------------
 
 _REGISTER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# ASCII digits, as register expressions read them (int() takes more).
+_STATE_INT_RE = re.compile(r"[-+]?[0-9]+\Z")
 
 
 _EXPR_TOKEN_RE = re.compile(
@@ -282,8 +284,7 @@ def parse_register_state(text: str) -> dict[str, int]:
         value = value.strip()
         if not sep or not _REGISTER_RE.match(name):
             raise OracleError(f"bad register assignment {chunk!r}")
-        try:
-            state[name] = int(value)
-        except ValueError:
-            raise OracleError(f"bad integer in register assignment {chunk!r}") from None
+        if not _STATE_INT_RE.match(value):
+            raise OracleError(f"bad integer in register assignment {chunk!r}")
+        state[name] = int(value)
     return state

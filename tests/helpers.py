@@ -133,6 +133,27 @@ class RepeatStableOracle:
         return value
 
 
+def paper_se(t: c.Term) -> c.EvalTree:
+    """``se`` as the paper defines it: the condition's tree with its leaves
+    replaced by the branches' trees."""
+    if isinstance(t, c.TrueConst):
+        return c.LEAF_T
+    if isinstance(t, c.FalseConst):
+        return c.LEAF_F
+    if isinstance(t, c.AtomTerm):
+        return c.Node(t.atom, c.LEAF_T, c.LEAF_F)
+    return c.leaf_replace(
+        paper_se(t.condition), paper_se(t.true_branch), paper_se(t.false_branch)
+    )
+
+
+def tree_size(x: c.EvalTree) -> int:
+    """Nodes plus leaves of an evaluation tree, counted as a tree."""
+    if isinstance(x, c.Leaf):
+        return 1
+    return 1 + tree_size(x.left) + tree_size(x.right)
+
+
 def se_key(t: c.Term) -> str:
     return c.render_tree(c.se(t))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import condalg as c
@@ -343,3 +345,29 @@ def test_eval_non_ascii_digit_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "register expression" in err
+
+
+def test_eval_state_non_ascii_digit_is_an_input_error(capsys):
+    code, out, err = run(capsys, "eval", "--state", "n=٣", '"(n==3)"')
+    assert code == 2
+    assert out == ""
+    assert "register assignment" in err
+
+
+def test_too_deep_input_exits_with_the_resource_code(capsys):
+    # 20,000 connectives: desugaring recurses once per connective
+    code, out, err = run(capsys, "desugar", " && ".join(["a"] * 20_001))
+    assert code == 3
+    assert out == ""
+    assert err == "condalg: input nested too deeply\n"
+
+
+def test_main_restores_the_recursion_limit(capsys):
+    # A limit of the test's own, since an earlier main() may have left one.
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_500)
+    try:
+        assert run(capsys, "witnesses")[0] == 0
+        assert sys.getrecursionlimit() == 1_500
+    finally:
+        sys.setrecursionlimit(before)

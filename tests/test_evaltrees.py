@@ -15,6 +15,8 @@ from helpers import (
     ScriptedOracle,
     all_terms_upto,
     basic_forms_ab,
+    paper_se,
+    random_terms,
     tree_pool,
 )
 
@@ -93,6 +95,11 @@ def test_se_examples():
 def test_se_constants():
     assert c.se(T) == LT
     assert c.se(F) == LF
+
+
+def test_se_matches_the_paper_definition():
+    for t in all_terms_upto(3) + random_terms():
+        assert c.se(t) == paper_se(t)
 
 
 # ---------------------------------------------------------------------------

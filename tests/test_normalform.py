@@ -17,7 +17,9 @@ from helpers import (
     TB,
     all_terms_upto,
     basic_forms_ab,
+    paper_se,
     random_terms,
+    tree_size,
 )
 
 T, F = c.TRUE, c.FALSE
@@ -114,6 +116,33 @@ def test_bf_node_budget():
     with pytest.raises(c.NodeBudgetError):
         c.bf(term, node_budget=500)
     assert c.is_basic_form(c.bf(term))  # default budget suffices
+
+
+def test_bf_node_budget_bounds_the_result_tree_size():
+    for t in all_terms_upto(2) + random_terms():
+        n = tree_size(paper_se(t))
+        c.bf(t, node_budget=n)
+        message = f"basic form would have {n} nodes, exceeding the budget of {n - 1}$"
+        with pytest.raises(c.NodeBudgetError, match=message):
+            c.bf(t, node_budget=n - 1)
+
+
+def test_bf_node_budget_ignores_a_discarded_branch():
+    # The condition F selects the false branch; the 7-node true branch's
+    # basic form is no part of the result.
+    assert c.bf(p("(a <| a |> a) <| F |> F"), node_budget=1) == F
+
+
+def test_bf_matches_the_paper_definition():
+    for t in all_terms_upto(3) + random_terms():
+        assert c.bf(t) == c.tree_to_term(paper_se(t))
+
+
+def test_subst_tf_is_leaf_replacement_on_trees():
+    pool = basic_forms_ab(1)
+    for x, y, z in itertools.product(pool, repeat=3):
+        expected = c.tree_to_term(c.leaf_replace(c.se(x), c.se(y), c.se(z)))
+        assert c.subst_tf(x, y, z) == expected
 
 
 # ---------------------------------------------------------------------------

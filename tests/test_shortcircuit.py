@@ -193,6 +193,14 @@ def test_parse_register_state():
         c.parse_register_state("n=x")
 
 
+@pytest.mark.parametrize("value", ["٣", "²", "1_0"])
+def test_parse_register_state_takes_ascii_digits_only(value):
+    # none matches [0-9]+, the register expressions' numbers (int() takes
+    # the first and the last)
+    with pytest.raises(c.OracleError):
+        c.parse_register_state(f"n={value}")
+
+
 # ---------------------------------------------------------------------------
 # the double-increment example
 # ---------------------------------------------------------------------------
