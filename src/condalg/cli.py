@@ -9,6 +9,7 @@ nested too deeply to process).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 
@@ -87,6 +88,9 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text + "\n")
 
 
+# Building the parser costs more than most commands, so a process that
+# calls ``main`` repeatedly builds it once; parsing does not change it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="condalg",

@@ -7,7 +7,8 @@ test suite exercises that agreement exhaustively rather than assuming it.
 The module also carries the equational systems (CP and its extensions) as
 instantiable schemes, a truth-table generator for the propositional
 translation of the conditional, and the built-in witnesses separating the
-congruence lattice's adjacent levels.
+congruence lattice's adjacent levels.  Truth tables are bit-parallel: the
+translation is evaluated once, on integers holding one bit per row.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import CondAlgError, InstanceBudgetError
-from .evaltrees import EvalTree, se
+from .evaltrees import EvalTree, same_tree, se
 from .normalform import bf, cbf, check_alphabet, e_sigma, mbf, rpbf, sbf
 from .terms import (
     Atom,
@@ -97,8 +98,9 @@ def normal_form(t: Term, kind: CongruenceKind) -> Term:
 
 
 def equivalent(p: Term, q: Term, kind: CongruenceKind) -> bool:
-    """Decide the congruence by comparing transformed evaluation trees."""
-    return transformed_tree(p, kind) == transformed_tree(q, kind)
+    """Decide the congruence by comparing transformed evaluation trees
+    (``same_tree``: shared subtrees are compared once)."""
+    return same_tree(transformed_tree(p, kind), transformed_tree(q, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +186,63 @@ class TruthTable:
 
 
 def truth_table(t: Term, sigma: Sigma) -> TruthTable:
-    """Tabulate the propositional translation of ``t`` over ``sigma``."""
+    """Tabulate the propositional translation of ``t`` over ``sigma``.
+
+    The translation is evaluated once, on all rows at a time: each atom's
+    column is an integer with one bit per row, and each formula object is
+    evaluated once, so the cost does not grow with the condition nesting.
+    """
     check_alphabet(t, sigma, "truth_table")
     if len(sigma) > MAX_SIGMA_FOR_TABLES:
         raise ValueError(
             f"truth tables are limited to {MAX_SIGMA_FOR_TABLES} atoms, got {len(sigma)}"
         )
-    formula = to_propositional(t)
-    rows = []
-    for values in itertools.product((True, False), repeat=len(sigma)):
-        assignment = dict(zip(sigma.atoms, values))
-        rows.append((values, eval_formula(formula, assignment)))
-    return TruthTable(sigma, tuple(rows))
+    n = len(sigma)
+    full = (1 << (1 << n)) - 1
+    columns = {a: _column(j, n, full) for j, a in enumerate(sigma.atoms)}
+    value = _formula_bits(to_propositional(t), columns, full, {})
+    # Bit i of ``value`` is row i's value; the binary text lists bits from
+    # the highest row down.
+    bits = reversed(format(value, f"0{1 << n}b"))
+    assignments = itertools.product((True, False), repeat=n)
+    return TruthTable(
+        sigma, tuple((values, bit == "1") for values, bit in zip(assignments, bits))
+    )
+
+
+def _column(j: int, n: int, full: int) -> int:
+    # Bit i is the value of the j-th of n atoms in row i: ``period`` true
+    # rows then ``period`` false rows, repeated, i.e. the low half of a
+    # 2*period-bit block times the repunit in base 2**(2*period).
+    period = 1 << (n - 1 - j)
+    return ((1 << period) - 1) * (full // ((1 << 2 * period) - 1))
+
+
+def _formula_bits(
+    f: PropFormula, columns: dict[Atom, int], full: int, memo: dict[int, int]
+) -> int:
+    # ``f`` evaluated on every row at once, one bit per row.  The
+    # translation repeats each condition's formula object, so results are
+    # memoized by object identity.
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit
+    if isinstance(f, PAtom):
+        bits = columns[f.atom]
+    elif isinstance(f, PNot):
+        bits = full ^ _formula_bits(f.operand, columns, full, memo)
+    elif isinstance(f, PAnd):
+        bits = _formula_bits(f.left, columns, full, memo) & _formula_bits(
+            f.right, columns, full, memo
+        )
+    elif isinstance(f, POr):
+        bits = _formula_bits(f.left, columns, full, memo) | _formula_bits(
+            f.right, columns, full, memo
+        )
+    else:
+        bits = full if isinstance(f, PTrue) else 0
+    memo[id(f)] = bits
+    return bits
 
 
 def render_truth_table(table: TruthTable, fmt: str = "text", *, title: str = "value") -> str:

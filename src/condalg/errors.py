@@ -38,6 +38,10 @@ class NodeBudgetError(BudgetError):
     """Normalization would exceed the configured node budget."""
 
 
+class NestingDepthError(BudgetError):
+    """Input nested too deeply for the recursive parser."""
+
+
 class InstanceBudgetError(BudgetError):
     """An axiom's substitution cross-product exceeds the instance cap."""
 

@@ -138,6 +138,34 @@ def evaluations(x: EvalTree) -> list[Evaluation]:
     return out
 
 
+def same_tree(x: EvalTree, y: EvalTree) -> bool:
+    """Whether two evaluation trees are equal, as ``x == y``.
+
+    Trees built by ``se`` and the transforms share subtrees, and ``==``
+    walks them as trees, which can take exponentially long.  This walk
+    stops at identical objects and compares each pair of objects once, so
+    it takes time linear in the pairs of shared nodes it meets.
+    """
+    seen: set[tuple[int, int]] = set()
+    pending: list[tuple[EvalTree, EvalTree]] = []
+    while True:
+        # Descend along left branches, leaving the right pairs pending.
+        if x is not y:
+            if not (isinstance(x, Node) and isinstance(y, Node)):
+                if x != y:
+                    return False
+            elif x.atom.name != y.atom.name:
+                return False
+            elif (id(x), id(y)) not in seen:
+                seen.add((id(x), id(y)))
+                pending.append((x.right, y.right))
+                x, y = x.left, y.left
+                continue
+        if not pending:
+            return True
+        x, y = pending.pop()
+
+
 def tree_to_term(x: EvalTree) -> Term:
     """The unique basic form whose evaluation tree is ``x``."""
     if isinstance(x, Leaf):

@@ -8,7 +8,10 @@ order for the static congruence.
 ``bf`` shares subterms, so the objects it builds are linear in the term,
 but counted as a tree a normal form can grow exponentially.  Every
 normalizer bounds that tree size by a node budget (default one million
-nodes) and raises NodeBudgetError instead of exhausting memory.
+nodes) and raises NodeBudgetError instead of exhausting memory.  ``mf``
+(and so ``mbf`` and ``sbf``) is one walk that carries the answers given so
+far, in time proportional to its result counted as a tree; ``mbf`` and
+``sbf`` bound only that result, not the shared basic form before it.
 """
 
 from __future__ import annotations
@@ -229,19 +232,55 @@ def mem_aux(side: Side, a: Atom, p: Term) -> Term:
     return _mem(side, a, p, _Budget(DEFAULT_NODE_BUDGET))
 
 
-def _mf(p: Term, budget: _Budget) -> Term:
-    return _reduce(p, _mem, budget)
+def _mf(p: Term, node_budget: int) -> tuple[Term, int]:
+    # (memorizing form, size counted as a tree) of the basic form ``p``:
+    # ``_reduce(p, _mem, ...)`` in one walk that carries the answers given
+    # so far and skips a repeated central atom to its remembered branch.
+    # Every node reached, leaves included, is one node of the result, so
+    # counting them bounds the result as it grows.
+    answers: dict[str, bool] = {}
+    size = 0
+
+    def walk(p: Term) -> Term:
+        nonlocal size
+        while isinstance(p, Cond):
+            answer = answers.get(p.condition.atom.name)
+            if answer is None:
+                break
+            p = p.true_branch if answer else p.false_branch
+        size += 1
+        if size > node_budget:
+            raise NodeBudgetError(f"normal form exceeds the node budget of {node_budget}")
+        if not isinstance(p, Cond):
+            return p
+        name = p.condition.atom.name
+        answers[name] = True
+        left = walk(p.true_branch)
+        answers[name] = False
+        right = walk(p.false_branch)
+        del answers[name]
+        if left is p.true_branch and right is p.false_branch:
+            return p
+        return Cond(left, p.condition, right)
+
+    return walk(p), size
 
 
 def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
-    """Rewrite a basic form into a memorizing basic form."""
+    """Rewrite a basic form into a memorizing basic form.
+
+    One walk, in time proportional to the result counted as a tree (plus
+    the repeated queries it skips); raises NodeBudgetError as soon as that
+    tree exceeds ``node_budget`` nodes."""
     _require_basic(p, "mf")
-    return _mf(p, _Budget(node_budget))
+    return _mf(p, node_budget)[0]
 
 
 def mbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
-    """Memorizing normal form of an arbitrary term."""
-    return _mf(bf(t, node_budget=node_budget), _Budget(node_budget))
+    """Memorizing normal form of an arbitrary term.  Only the result,
+    counted as a tree, is bounded by ``node_budget``: the basic form in
+    between shares its subterms, so its objects are linear in ``t``."""
+    return _mf(_bf(t, (TRUE, 1), (FALSE, 1))[0], node_budget)[0]
 
 
 # ---------------------------------------------------------------------------

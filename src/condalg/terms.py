@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .errors import DuplicateAtomError, TermSyntaxError
+from .errors import DuplicateAtomError, NestingDepthError, TermSyntaxError
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -250,12 +250,16 @@ def parse_term(text: str) -> Term:
     """Parse the canonical text form of a term.
 
     Raises TermSyntaxError (with a character position) on malformed or
-    empty input.
+    empty input, and NestingDepthError when the nesting exceeds what the
+    interpreter's recursion limit lets the parser descend.
     """
     cur = TokenCursor(_TERM_TOKEN_RE, text, TermSyntaxError)
-    term = _operand(cur)
-    if cur.peek() == "ltri":
-        term = _cond(cur, term)
+    try:
+        term = _operand(cur)
+        if cur.peek() == "ltri":
+            term = _cond(cur, term)
+    except RecursionError:
+        raise NestingDepthError("input nested too deeply") from None
     cur.finish()
     return term
 

@@ -8,6 +8,11 @@ congruent exactly when their transformed trees are equal:
 * ``mem`` — the first answer for each atom is remembered for the walk;
 * ``sse`` — memorizing over a fixed atom order, which yields the full
   binary tree a truth table describes.
+
+``mem`` (and so ``mse`` and ``sse``) is one walk that carries the answers
+given so far, in time proportional to its output counted as a tree; the
+paper's definition, ``_walk`` with ``mem_tree_aux``, walks the rest of the
+tree again below every node.
 """
 
 from __future__ import annotations
@@ -106,8 +111,35 @@ def mem_tree_aux(side: Side, a: Atom, x: EvalTree) -> EvalTree:
 
 
 def mem(x: EvalTree) -> EvalTree:
-    """Memorizing transform of an evaluation tree."""
-    return _walk(x, mem_tree_aux)
+    """Memorizing transform of an evaluation tree.
+
+    Equal to ``_walk(x, mem_tree_aux)``, the paper's definition, but built
+    in one walk that carries the answers given so far: a query already
+    answered is skipped to the remembered branch.  Time is proportional to
+    the output counted as a tree (plus the skipped queries), and subtrees
+    that need no change are returned as they are.
+    """
+    answers: dict[str, bool] = {}
+
+    def walk(x: EvalTree) -> EvalTree:
+        while isinstance(x, Node):
+            answer = answers.get(x.atom.name)
+            if answer is None:
+                break
+            x = x.left if answer else x.right
+        if isinstance(x, Leaf):
+            return x
+        name = x.atom.name
+        answers[name] = True
+        left = walk(x.left)
+        answers[name] = False
+        right = walk(x.right)
+        del answers[name]
+        if left is x.left and right is x.right:
+            return x
+        return Node(x.atom, left, right)
+
+    return walk(x)
 
 
 def mse(t: Term) -> EvalTree:

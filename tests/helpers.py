@@ -11,6 +11,7 @@ import random
 from functools import lru_cache
 
 import condalg as c
+from condalg import normalform, treetransform
 
 ATOM_A = c.Atom("a")
 ATOM_B = c.Atom("b")
@@ -145,6 +146,25 @@ def paper_se(t: c.Term) -> c.EvalTree:
     return c.leaf_replace(
         paper_se(t.condition), paper_se(t.true_branch), paper_se(t.false_branch)
     )
+
+
+def paper_mem(x: c.EvalTree) -> c.EvalTree:
+    """``mem`` as the paper defines it: each branch resolved against its
+    node's answer by ``mem_tree_aux``, then transformed in turn."""
+    return treetransform._walk(x, c.mem_tree_aux)
+
+
+def paper_mf(p: c.Term) -> c.Term:
+    """``mf`` as the paper defines it, over basic forms: each branch
+    resolved against the central atom's answer, then reduced in turn."""
+    budget = normalform._Budget(c.DEFAULT_NODE_BUDGET)
+    return normalform._reduce(p, normalform._mem, budget)
+
+
+def static_prefix(sigma: c.Sigma, t: c.Term) -> c.Term:
+    """``T <| e_sigma |> t``, the term whose memorizing tree and normal
+    form are ``sse``/``sbf`` of ``t``."""
+    return c.Cond(c.TRUE, c.e_sigma(sigma), t)
 
 
 def tree_size(x: c.EvalTree) -> int:

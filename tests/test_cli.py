@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 
 import condalg as c
+from condalg import cli
 from condalg.cli import main
 
 
@@ -371,3 +373,52 @@ def test_main_restores_the_recursion_limit(capsys):
         assert sys.getrecursionlimit() == 1_500
     finally:
         sys.setrecursionlimit(before)
+
+
+def test_too_deep_term_exits_with_the_resource_code(capsys):
+    text = "a <| a |> (" * 50_000 + "a" + ")" * 50_000
+    code, out, err = run(capsys, "normalize", "--system", "free", text)
+    assert code == 3
+    assert out == ""
+    assert err == "condalg: input nested too deeply\n"
+
+
+def test_equiv_compares_shared_trees_quickly(capsys):
+    # t_6 of t_{k+1} = t_k <| t_k |> t_k: se builds each tree in a few
+    # hundred objects, but counted as a tree it is far too large to walk.
+    text = "a <| a |> a"
+    for _ in range(6):
+        text = f"({text}) <| ({text}) |> ({text})"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "equiv", "--system", "free", text, text)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "equivalent\n")
+
+
+def test_main_reuses_one_parser(capsys):
+    commands = [
+        ["normalize", "--system", "static", "--sigma", "ab", "a"],
+        ["equiv", "--system", "rp", "T <| a |> a", "T <| a |> (F <| a |> F)"],
+        ["normalize", "--system", "bogus", "a"],
+        ["table", "--sigma", "ab", "--format", "json", "a <| b |> F"],
+        ["tree", "--semantics", "mse", "a <| a |> F"],
+        ["equiv", "--system", "free", "T <| a |> a", "T <| a |> (F <| a |> F)"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    outcome(["witnesses"])  # builds the parser, if no earlier test has
+    warm = [outcome(argv) for argv in commands]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert warm == fresh
+    assert warm[2][0] == 2 and "invalid choice" in warm[2][2]

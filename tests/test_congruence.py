@@ -219,6 +219,18 @@ def test_truth_table_constants():
     assert table.rows == (((True,), False), ((False,), False))
 
 
+def test_truth_table_matches_row_by_row_evaluation():
+    # six atoms, the term's two among four it does not use
+    sigma = c.Sigma.of("c", "a", "d", "b", "e", "f")
+    order = tuple(itertools.product((True, False), repeat=len(sigma)))
+    for t in all_terms_upto(2) + random_terms():
+        formula = c.to_propositional(t)
+        rows = c.truth_table(t, sigma).rows
+        assert tuple(values for values, _ in rows) == order
+        for values, value in rows:
+            assert value == c.eval_formula(formula, dict(zip(sigma.atoms, values)))
+
+
 def test_truth_table_errors():
     with pytest.raises(c.AlphabetCoverageError):
         c.truth_table(p("T <| z |> F"), SIGMA_AB)

@@ -164,6 +164,23 @@ def test_se_injective_on_basic_forms():
 # ---------------------------------------------------------------------------
 
 
+def test_same_tree_agrees_with_structural_equality():
+    pool = tree_pool(2)
+    for x, y in itertools.product(pool, repeat=2):
+        assert c.same_tree(x, y) == (x == y)
+
+
+def test_same_tree_compares_shared_subtrees_once():
+    # t_{k+1} = t_k <| t_k |> t_k: each se has a few hundred objects but
+    # is, counted as a tree, far too large for ``==`` to walk.
+    t = c.parse_term("a <| a |> a")
+    for _ in range(6):
+        t = c.Cond(t, t, t)
+    other = c.parse_term(c.render_term(t))
+    assert c.same_tree(c.se(t), c.se(other))
+    assert not c.same_tree(c.se(t), c.se(c.Cond(t, t, F)))
+
+
 def test_render_ascii():
     assert c.render_tree(LT) == "T"
     assert c.render_tree(node(ATOM_A, LT, LF)) == "(T <a> F)"

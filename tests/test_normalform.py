@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -17,8 +18,10 @@ from helpers import (
     TB,
     all_terms_upto,
     basic_forms_ab,
+    paper_mf,
     paper_se,
     random_terms,
+    static_prefix,
     tree_size,
 )
 
@@ -363,3 +366,46 @@ def test_normalizers_reject_non_basic_input():
     for func in (c.rpf, c.cf, c.mf):
         with pytest.raises(c.NotBasicFormError):
             func(p("a <| (F <| a |> T) |> F"))
+
+
+# ---------------------------------------------------------------------------
+# the one-walk memorizing normalizer against the paper's definition
+# ---------------------------------------------------------------------------
+
+
+def test_mf_matches_the_paper_definition():
+    for t in basic_forms_ab(2):
+        assert c.mf(t) == paper_mf(t)
+
+
+def test_sbf_matches_the_paper_composition():
+    for sigma in (SIGMA_AB, SIGMA_BA):
+        for t in all_terms_upto(2) + random_terms():
+            assert c.sbf(sigma, t) == paper_mf(c.bf(static_prefix(sigma, t)))
+
+
+def test_memorizing_budget_bounds_the_result_tree_size():
+    terms = all_terms_upto(2) + random_terms()
+    calls = (
+        [(c.mf, t) for t in basic_forms_ab(2)]
+        + [(c.mbf, t) for t in terms]
+        + [(functools.partial(c.sbf, SIGMA_BA), t) for t in terms]
+    )
+    for normalize, t in calls:
+        form = normalize(t)
+        n = tree_size(c.se(form))
+        assert normalize(t, node_budget=n) == form
+        message = f"normal form exceeds the node budget of {n - 1}$"
+        with pytest.raises(c.NodeBudgetError, match=message):
+            normalize(t, node_budget=n - 1)
+
+
+def test_mbf_budget_is_not_spent_on_the_basic_form():
+    # t_{k+1} = t_k <| t_k |> t_k: the basic form of t_6, counted as a
+    # tree, is far over any budget, but every query repeats the first.
+    t = p("a <| a |> a")
+    for _ in range(6):
+        t = c.Cond(t, t, t)
+    with pytest.raises(c.NodeBudgetError):
+        c.bf(t)
+    assert c.mbf(t, node_budget=3) == p("T <| a |> F")

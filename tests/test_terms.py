@@ -68,6 +68,12 @@ def test_parse_errors(bad):
         p(bad)
 
 
+def test_parse_too_deep_raises_a_typed_error():
+    text = "a <| a |> (" * 5_000 + "a" + ")" * 5_000
+    with pytest.raises(c.NestingDepthError, match="^input nested too deeply$"):
+        c.parse_term(text)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(c.TermSyntaxError) as err:
         p("a <| ? |> b")

@@ -15,7 +15,11 @@ from helpers import (
     all_terms_upto,
     basic_forms_ab,
     deep_tree_pool,
+    paper_mem,
+    paper_se,
     random_terms,
+    static_prefix,
+    tree_pool,
 )
 
 T, F = c.TRUE, c.FALSE
@@ -201,3 +205,31 @@ def test_sse_output_is_layered():
         for child in (tree.left, tree.right):
             assert isinstance(child, c.Node) and child.atom == ATOM_A
             assert isinstance(child.left, c.Leaf) and isinstance(child.right, c.Leaf)
+
+
+# ---------------------------------------------------------------------------
+# the one-walk memorizing transform against the paper's definition
+# ---------------------------------------------------------------------------
+
+
+def test_mem_matches_the_paper_definition_on_all_trees():
+    for x in tree_pool(3):
+        assert c.mem(x) == paper_mem(x)
+
+
+def test_mem_matches_the_paper_definition_on_evaluation_trees():
+    for t in all_terms_upto(3) + random_terms():
+        x = c.se(t)
+        assert c.mem(x) == paper_mem(x)
+
+
+def test_mem_returns_a_tree_it_leaves_unchanged():
+    for x in tree_pool(2):
+        if paper_mem(x) == x:
+            assert c.mem(x) is x
+
+
+def test_sse_matches_the_paper_composition():
+    for sigma in (SIGMA_AB, SIGMA_BA):
+        for t in all_terms_upto(2) + random_terms():
+            assert c.sse(sigma, t) == paper_mem(paper_se(static_prefix(sigma, t)))
