@@ -7,8 +7,10 @@ order for the static congruence.
 
 ``bf`` shares subterms, so the objects it builds are linear in the term,
 but counted as a tree a normal form can grow exponentially.  Every
-normalizer bounds that tree size by a node budget (default one million
-nodes) and raises NodeBudgetError instead of exhausting memory.  ``mf``
+normalizer takes a node budget (default one million nodes) and raises
+NodeBudgetError instead of exhausting memory: ``bf`` and ``mf`` bound
+their result counted as a tree, one node per conditional and per
+constant; ``rpf`` and ``cf`` count only the conditionals they build.  ``mf``
 (and so ``mbf`` and ``sbf``) is one walk that carries the answers given so
 far, in time proportional to its result counted as a tree; ``mbf`` and
 ``sbf`` bound only that result, not the shared basic form before it.
@@ -232,10 +234,10 @@ def mem_aux(side: Side, a: Atom, p: Term) -> Term:
     return _mem(side, a, p, _Budget(DEFAULT_NODE_BUDGET))
 
 
-def _mf(p: Term, node_budget: int) -> tuple[Term, int]:
-    # (memorizing form, size counted as a tree) of the basic form ``p``:
-    # ``_reduce(p, _mem, ...)`` in one walk that carries the answers given
-    # so far and skips a repeated central atom to its remembered branch.
+def _mf(p: Term, node_budget: int) -> Term:
+    # The memorizing form of the basic form ``p``: ``_reduce(p, _mem, ...)``
+    # in one walk that carries the answers given so far and skips a
+    # repeated central atom to its remembered branch.
     # Every node reached, leaves included, is one node of the result, so
     # counting them bounds the result as it grows.
     answers: dict[str, bool] = {}
@@ -263,7 +265,7 @@ def _mf(p: Term, node_budget: int) -> tuple[Term, int]:
             return p
         return Cond(left, p.condition, right)
 
-    return walk(p), size
+    return walk(p)
 
 
 def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
@@ -273,14 +275,15 @@ def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     the repeated queries it skips); raises NodeBudgetError as soon as that
     tree exceeds ``node_budget`` nodes."""
     _require_basic(p, "mf")
-    return _mf(p, node_budget)[0]
+    return _mf(p, node_budget)
 
 
 def mbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Memorizing normal form of an arbitrary term.  Only the result,
     counted as a tree, is bounded by ``node_budget``: the basic form in
     between shares its subterms, so its objects are linear in ``t``."""
-    return _mf(_bf(t, (TRUE, 1), (FALSE, 1))[0], node_budget)[0]
+    # The basic form's size is not needed here.
+    return _mf(_bf(t, (TRUE, 0), (FALSE, 0))[0], node_budget)
 
 
 # ---------------------------------------------------------------------------
