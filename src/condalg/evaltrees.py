@@ -3,12 +3,19 @@
 Internal nodes carry an atom; the left branch is taken when the atom
 evaluates true, the right branch when it evaluates false.  Leaves carry
 the final result.
+
+The trees ``se`` and the transforms build share subtrees, so a tree's
+text can be far larger than its objects.  The ascii writer of
+``render_tree`` takes time linear in the text: it writes with
+``terms.render_shared``, which builds the text of each node reached from
+more than one parent once and keeps no other subtree's text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Union
 
 from .terms import (
@@ -21,6 +28,7 @@ from .terms import (
     TRUE,
     TrueConst,
     format_atom,
+    render_shared,
 )
 
 
@@ -178,10 +186,28 @@ def tree_to_term(x: EvalTree) -> Term:
 # ---------------------------------------------------------------------------
 
 
+_NODE_CHILDREN = attrgetter("left", "right")
+
+
 def _ascii(x: EvalTree) -> str:
-    if isinstance(x, Leaf):
+    joints: dict[str, str] = {}  # atom name -> " <atom> "
+
+    def pieces(x: Node) -> list:
+        right, left = x.right, x.left
+        out = [")", right] if right.__class__ is Node else ["T)" if right.value else "F)"]
+        joint = joints.get(x.atom.name)
+        if joint is None:
+            joint = joints[x.atom.name] = f" <{format_atom(x.atom)}> "
+        out.append(joint)
+        if left.__class__ is Node:
+            out += (left, "(")
+        else:
+            out += ("T" if left.value else "F", "(")
+        return out
+
+    if x.__class__ is not Node:
         return "T" if x.value else "F"
-    return f"({_ascii(x.left)} <{format_atom(x.atom)}> {_ascii(x.right)})"
+    return render_shared(x, Node, _NODE_CHILDREN, pieces)
 
 
 def _json_obj(x: EvalTree):
@@ -221,7 +247,8 @@ def render_tree(x: EvalTree, fmt: str = "ascii") -> str:
 
     Formats: ``ascii`` (inline, ``(T <a> F)``), ``dot`` (digraph, nodes
     numbered in preorder, edges labeled T/F), ``json`` (nested objects,
-    leaves as the strings "T"/"F").
+    leaves as the strings "T"/"F").  Every format writes the tree in full,
+    shared subtrees once per occurrence.
     """
     if fmt == "ascii":
         return _ascii(x)

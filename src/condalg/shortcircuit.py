@@ -14,7 +14,17 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import OracleError, TermSyntaxError
-from .terms import Atom, AtomTerm, Cond, FALSE, TRUE, Term, TokenCursor, format_atom
+from .terms import (
+    Atom,
+    AtomTerm,
+    Cond,
+    FALSE,
+    Lexicon,
+    TRUE,
+    Term,
+    TokenCursor,
+    format_atom,
+)
 
 # ---------------------------------------------------------------------------
 # Expression language
@@ -38,7 +48,7 @@ class SclAtom:
     atom: Atom
 
     def __repr__(self) -> str:
-        return format_atom(self.atom)
+        return render_sc(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,19 +86,14 @@ SC_FALSE = SclFalse()
 # The connective grammar: `!` binds tightest, `&&` over `||`, both
 # left-associative; atoms as in the term grammar.
 
-_SC_TOKEN_RE = re.compile(
-    r"""(?P<and>&&) | (?P<or>\|\|) | (?P<not>!) |
-        (?P<lparen>\() | (?P<rparen>\)) |
-        (?P<quoted>"[^"]*") | (?P<ident>[a-z][a-z0-9_]*)""",
-    re.VERBOSE,
-)
+_SC_TOKENS = Lexicon(r"""&& | \|\| | ! | \( | \) | "[^"]*" | [a-z][a-z0-9_]*""")
 
 _KEYWORDS = {"true": SC_TRUE, "false": SC_FALSE}
 
 
 def _sc_or(cur: TokenCursor) -> SclExpr:
     expr = _sc_and(cur)
-    while cur.peek() == "or":
+    while cur.peek() == "||":
         cur.take()
         expr = SclOr(expr, _sc_and(cur))
     return expr
@@ -96,36 +101,35 @@ def _sc_or(cur: TokenCursor) -> SclExpr:
 
 def _sc_and(cur: TokenCursor) -> SclExpr:
     expr = _sc_unary(cur)
-    while cur.peek() == "and":
+    while cur.peek() == "&&":
         cur.take()
         expr = SclAnd(expr, _sc_unary(cur))
     return expr
 
 
 def _sc_unary(cur: TokenCursor) -> SclExpr:
-    kind, text, pos = cur.take()
-    if kind == "not":
+    token = cur.take()
+    if token == "!":
         return SclNot(_sc_unary(cur))
-    if kind == "lparen":
+    if token == "(":
         inner = _sc_or(cur)
-        cur.expect("rparen", "')'")
+        cur.expect(")")
         return inner
-    if kind == "quoted":
-        name = text[1:-1]
-        if not name:
-            raise TermSyntaxError("empty quoted atom", pos)
-        return SclAtom(Atom(name))
-    if kind == "ident":
-        if text in _KEYWORDS:
-            return _KEYWORDS[text]
-        return SclAtom(Atom(text))
-    raise TermSyntaxError(f"unexpected token {text!r}", pos)
+    if token[0] == '"':
+        if token == '""':
+            raise cur.fail("empty quoted atom")
+        return SclAtom(Atom(token[1:-1]))
+    if token[0].isalpha():
+        if token in _KEYWORDS:
+            return _KEYWORDS[token]
+        return SclAtom(Atom(token))
+    raise cur.fail(f"unexpected token {token!r}")
 
 
 def parse_sc(text: str) -> SclExpr:
     """Parse a short-circuit expression (``!``, ``&&``, ``||``,
     ``true``/``false``, atoms, parentheses)."""
-    cur = TokenCursor(_SC_TOKEN_RE, text, TermSyntaxError)
+    cur = TokenCursor(_SC_TOKENS, text, TermSyntaxError)
     expr = _sc_or(cur)
     cur.finish()
     return expr
@@ -138,6 +142,10 @@ def render_sc(e: SclExpr) -> str:
     if isinstance(e, SclFalse):
         return "false"
     if isinstance(e, SclAtom):
+        # An atom spelled like a keyword is quoted, or it would read back
+        # as the constant.
+        if e.atom.name in _KEYWORDS:
+            return f'"{e.atom.name}"'
         return format_atom(e.atom)
     if isinstance(e, SclNot):
         inner = render_sc(e.operand)
@@ -187,10 +195,7 @@ _REGISTER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _STATE_INT_RE = re.compile(r"[-+]?[0-9]+\Z")
 
 
-_EXPR_TOKEN_RE = re.compile(
-    r"(?P<int>[0-9]+) | (?P<name>[a-z][a-z0-9_]*) | (?P<sign>[-+]) | (?P<lparen>\() | (?P<rparen>\))",
-    re.VERBOSE,
-)
+_EXPR_TOKENS = Lexicon(r"[0-9]+ | [a-z][a-z0-9_]* | [-+] | \( | \)")
 
 
 def _expr_error(message: str, position: int) -> OracleError:
@@ -199,32 +204,32 @@ def _expr_error(message: str, position: int) -> OracleError:
 
 def _eval_sum(cur: TokenCursor, state: Mapping[str, int]) -> int:
     value = _eval_primary(cur, state)
-    while cur.peek() == "sign":
-        _, sign, _ = cur.take()
+    while cur.peek() in ("+", "-"):
+        sign = cur.take()
         rhs = _eval_primary(cur, state)
         value = value + rhs if sign == "+" else value - rhs
     return value
 
 
 def _eval_primary(cur: TokenCursor, state: Mapping[str, int]) -> int:
-    kind, text, pos = cur.take()
-    if kind == "int":
-        return int(text)
-    if kind == "name":
-        if text not in state:
-            raise OracleError(f"unknown register {text!r}")
-        return state[text]
-    if kind == "lparen":
+    token = cur.take()
+    if token[0].isdigit():
+        return int(token)
+    if token[0].isalpha():
+        if token not in state:
+            raise OracleError(f"unknown register {token!r}")
+        return state[token]
+    if token == "(":
         value = _eval_sum(cur, state)
-        cur.expect("rparen", "')'")
+        cur.expect(")")
         return value
-    raise cur.error(f"unexpected {text!r}", pos)
+    raise cur.fail(f"unexpected {token!r}")
 
 
 def _eval_register_expr(text: str, state: Mapping[str, int]) -> int:
     """Evaluate a register expression: integers, register names, binary
     + and -, parentheses."""
-    cur = TokenCursor(_EXPR_TOKEN_RE, text, _expr_error)
+    cur = TokenCursor(_EXPR_TOKENS, text, _expr_error)
     value = _eval_sum(cur, state)
     cur.finish()
     return value

@@ -3,12 +3,22 @@
 A term is built from the constants T and F, atoms, and the ternary
 conditional ``P <| Q |> R`` ("if Q then P else R"; Q is the central
 condition).  Terms are immutable and compared structurally.
+
+Reading and writing text cost what they read and write.  ``TokenCursor``
+splits a whole text with one regex call and serves the term,
+short-circuit and register-expression grammars.  ``render_shared``, the
+writer behind ``render_term`` and the ascii ``render_tree``, writes a DAG
+whose objects are shared (as the normalizers and ``se`` build them)
+without walking a shared object twice: it builds the text of each object
+reached from more than one parent once and reuses it, and keeps no other
+object's text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DuplicateAtomError, NestingDepthError, TermSyntaxError
@@ -144,63 +154,93 @@ def atom(name: str) -> AtomTerm:
 # Token cursor, shared by the term, short-circuit and register grammars
 # ---------------------------------------------------------------------------
 
-_SPACE_RE = re.compile(r"\s*")
 
-Token = tuple[str, str, int]  # (kind, text, position)
+class Lexicon:
+    """The tokens of one grammar.
+
+    ``token`` is a regular expression (verbose syntax, no capturing
+    groups) matching one token; tokens are tried in its alternation order
+    and may not start with whitespace.
+    """
+
+    __slots__ = ("token", "split")
+
+    def __init__(self, token: str):
+        self.token = re.compile(token, re.VERBOSE)
+        # Splits a text as the token regex does from left to right, a
+        # character that starts no token becoming a token of its own.
+        self.split = re.compile(rf"{token} | \S", re.VERBOSE)
 
 
 class TokenCursor:
-    """The tokens of ``text``, split by one regex whose named groups are the
-    token kinds, with whitespace between tokens skipped.
+    """The tokens of ``text`` as plain strings, whitespace between them
+    skipped; a grammar tells a token's kind from its text.
 
-    The whole text is split up front, so a stray character is reported
-    before any grammar error.  Malformed or empty input raises
-    ``error(message, position)``.
+    One regex call splits the whole text up front, so a stray character
+    is reported before any grammar error.  Malformed or empty input
+    raises ``error(message, position)``; a token's position is worked out
+    only then.
     """
+
+    __slots__ = ("lexicon", "text", "error", "tokens", "i")
 
     def __init__(
         self,
-        pattern: re.Pattern[str],
+        lexicon: Lexicon,
         text: str,
         error: Callable[[str, int], Exception],
     ):
+        self.lexicon = lexicon
         self.text = text
         self.error = error
-        self.tokens: list[Token] = []
+        self.tokens: list[str] = lexicon.split.findall(text)
         self.i = 0
-        pos = _SPACE_RE.match(text).end()
-        while pos < len(text):
-            m = pattern.match(text, pos)
-            if m is None:
-                raise error(f"unexpected character {text[pos]!r}", pos)
-            self.tokens.append((m.lastgroup, m.group(), pos))
-            pos = _SPACE_RE.match(text, m.end()).end()
+        # A stray character is a one-character token that is no token.
+        strays = [s for s in set(self.tokens) if not lexicon.token.fullmatch(s)]
+        if strays:
+            index = min(map(self.tokens.index, strays))
+            raise error(
+                f"unexpected character {self.tokens[index]!r}", self.position(index)
+            )
         if not self.tokens:
             raise error("empty input", 0)
 
+    def position(self, index: int) -> int:
+        """The character position of token ``index`` (the text's length
+        past the last token)."""
+        if index < len(self.tokens):
+            for k, m in enumerate(self.lexicon.split.finditer(self.text)):
+                if k == index:
+                    return m.start()
+        return len(self.text)
+
+    def fail(self, message: str) -> Exception:
+        """The error for the token taken last."""
+        return self.error(message, self.position(self.i - 1))
+
     def peek(self) -> str | None:
-        """The kind of the next token, or None at the end."""
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        """The next token, or None at the end."""
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self) -> Token:
-        if self.i == len(self.tokens):
+    def take(self) -> str:
+        i = self.i
+        if i == len(self.tokens):
             raise self.error("unexpected end of input", len(self.text))
-        self.i += 1
-        return self.tokens[self.i - 1]
+        self.i = i + 1
+        return self.tokens[i]
 
-    def expect(self, kind: str, shown: str) -> Token:
-        """Take the next token, which must be of ``kind`` (``shown`` in
-        messages)."""
-        token = self.take()
-        if token[0] != kind:
-            raise self.error(f"expected {shown}, found {token[1]!r}", token[2])
-        return token
+    def expect(self, token: str) -> None:
+        """Take the next token, which must be ``token``."""
+        found = self.take()
+        if found != token:
+            raise self.fail(f"expected {token!r}, found {found!r}")
 
     def finish(self) -> None:
         """Require that every token has been taken."""
         if self.i < len(self.tokens):
-            _, text, pos = self.tokens[self.i]
-            raise self.error(f"trailing input {text!r}", pos)
+            raise self.error(
+                f"trailing input {self.tokens[self.i]!r}", self.position(self.i)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -214,70 +254,185 @@ class TokenCursor:
 
 # An empty or unterminated quote matches no token, so it is reported as a
 # stray quote character.
-_TERM_TOKEN_RE = re.compile(
-    r"""(?P<true>T) | (?P<false>F) | (?P<lparen>\() | (?P<rparen>\)) |
-        (?P<ltri><\|) | (?P<rtri>\|>) |
-        (?P<quoted>"[^"]+") | (?P<ident>[a-z][a-z0-9_]*)""",
-    re.VERBOSE,
-)
+_TERM_TOKENS = Lexicon(r"""T | F | \( | \) | <\| | \|> | "[^"]+" | [a-z][a-z0-9_]*""")
+
+_CONSTANTS = {"T": TRUE, "F": FALSE}
 
 
-def _operand(cur: TokenCursor) -> Term:
-    kind, text, pos = cur.take()
-    if kind == "true":
-        return TRUE
-    if kind == "false":
-        return FALSE
-    if kind == "ident":
-        return AtomTerm(Atom(text))
-    if kind == "quoted":
-        return AtomTerm(Atom(text[1:-1]))
-    if kind == "lparen":
-        inner = _cond(cur, _operand(cur))
-        cur.expect("rparen", "')'")
+def _operand(cur: TokenCursor, atoms: dict[str, AtomTerm]) -> Term:
+    token = cur.take()
+    if token == "(":
+        inner = _cond(cur, _operand(cur, atoms), atoms)
+        cur.expect(")")
         return inner
-    raise TermSyntaxError(f"unexpected token {text!r}", pos)
+    term = _CONSTANTS.get(token) or atoms.get(token)
+    if term is None:
+        if token[0] == '"':
+            name = token[1:-1]
+        elif token[0].isalpha():
+            name = token
+        else:
+            raise cur.fail(f"unexpected token {token!r}")
+        # Quoted and bare spellings of one name share its AtomTerm.
+        term = atoms[token] = atoms.setdefault(name, AtomTerm(Atom(name)))
+    return term
 
 
-def _cond(cur: TokenCursor, left: Term) -> Cond:
-    cur.expect("ltri", "'<|'")
-    mid = _operand(cur)
-    cur.expect("rtri", "'|>'")
-    return Cond(left, mid, _operand(cur))
+def _cond(cur: TokenCursor, left: Term, atoms: dict[str, AtomTerm]) -> Cond:
+    cur.expect("<|")
+    mid = _operand(cur, atoms)
+    cur.expect("|>")
+    return Cond(left, mid, _operand(cur, atoms))
 
 
 def parse_term(text: str) -> Term:
     """Parse the canonical text form of a term.
 
-    Raises TermSyntaxError (with a character position) on malformed or
-    empty input, and NestingDepthError when the nesting exceeds what the
-    interpreter's recursion limit lets the parser descend.
+    Takes time linear in the text: one regex call splits it into tokens
+    and a recursive descent reads them, building one ``AtomTerm`` per atom
+    name.  Raises TermSyntaxError (with a character position) on malformed
+    or empty input, and NestingDepthError when the nesting exceeds what
+    the interpreter's recursion limit lets the parser descend.
     """
-    cur = TokenCursor(_TERM_TOKEN_RE, text, TermSyntaxError)
+    cur = TokenCursor(_TERM_TOKENS, text, TermSyntaxError)
+    atoms: dict[str, AtomTerm] = {}
     try:
-        term = _operand(cur)
-        if cur.peek() == "ltri":
-            term = _cond(cur, term)
+        term = _operand(cur, atoms)
+        if cur.peek() == "<|":
+            term = _cond(cur, term, atoms)
     except RecursionError:
         raise NestingDepthError("input nested too deeply") from None
     cur.finish()
     return term
 
 
+def _shared_objects(root: object, cls: type, children: Callable) -> set[int]:
+    """The ids of the ``cls`` objects reached from more than one parent in
+    the DAG below ``root``, where ``children(x)`` is the tuple of a
+    ``cls`` object's children."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is cls:
+            for child in children(x):
+                if child.__class__ is cls:
+                    key = id(child)
+                    if key in seen:
+                        shared.add(key)
+                    else:
+                        seen.add(key)
+                        stack.append(child)
+    return shared
+
+
+def render_shared(
+    root: object,
+    cls: type,
+    children: Callable[[object], tuple],
+    pieces: Callable[[object], list],
+) -> str:
+    """The text of a DAG of ``cls`` objects, written as a tree, in time
+    linear in the text.
+
+    ``children(x)`` is the tuple of a ``cls`` object's children, and
+    ``pieces(x)`` its text as pieces, last first: strings, and the
+    ``cls`` children whose text goes there.  The text of an object reached
+    from more than one parent is built once and reused; no other
+    object's text is kept, so memory stays linear in the output.
+    """
+    shared = _shared_objects(root, cls, children)
+    texts: dict[int, str] = {}  # shared object's id -> its text
+    parts: list[str] = []
+    write = parts.append
+    # Pending work, last first: a string to append, an object to write,
+    # or (id, start in parts) ending a shared object's text.
+    stack: list = [root]
+    push = stack.append
+    while stack:
+        x = stack.pop()
+        kind = x.__class__
+        if kind is str:
+            write(x)
+        elif kind is tuple:
+            key, start = x
+            text = texts[key] = "".join(parts[start:])
+            del parts[start:]
+            write(text)
+        else:
+            key = id(x)
+            if key in shared:
+                text = texts.get(key)
+                if text is not None:
+                    write(text)
+                    continue
+                push((key, len(parts)))
+            stack.extend(pieces(x))
+    return "".join(parts)
+
+
+_COND_CHILDREN = attrgetter("true_branch", "condition", "false_branch")
+
+
+def _joints(centre: str) -> tuple[str, str, str, str]:
+    """The text from a conditional's true branch to its false branch
+    around a central condition written ``centre``, indexed by
+    ``2 * (true branch is a conditional) + (false branch is one)``."""
+    return tuple(
+        f"{')' if p_cond else ''} <| {centre} |> {'(' if r_cond else ''}"
+        for p_cond in (False, True)
+        for r_cond in (False, True)
+    )
+
+
+# The joints around a conditional central condition, split where its
+# text goes, indexed as in _joints.
+_IF = (" <| (", " <| (", ") <| (", ") <| (")
+_THEN = (") |> ", ") |> (", ") |> ", ") |> (")
+
+
 def render_term(t: Term) -> str:
     """Render a term canonically: nested conditionals fully parenthesized,
-    one space around ``<|`` and ``|>``."""
-    if isinstance(t, TrueConst):
-        return "T"
-    if isinstance(t, FalseConst):
-        return "F"
-    if isinstance(t, AtomTerm):
-        return format_atom(t.atom)
-    parts = []
-    for sub in (t.true_branch, t.condition, t.false_branch):
-        s = render_term(sub)
-        parts.append(f"({s})" if isinstance(sub, Cond) else s)
-    return f"{parts[0]} <| {parts[1]} |> {parts[2]}"
+    one space around ``<|`` and ``|>``.
+
+    Takes time linear in the text written, with ``render_shared``: the
+    text of a conditional reached from more than one parent is built once.
+    """
+    names: dict[str, str] = {}  # atom name -> its text
+    joints: dict[str, tuple[str, str, str, str]] = {}  # leaf text -> its joints
+
+    def leaf(x: Term) -> str:
+        if x.__class__ is AtomTerm:
+            text = names.get(x.atom.name)
+            if text is None:
+                text = names[x.atom.name] = format_atom(x.atom)
+            return text
+        return "T" if x.__class__ is TrueConst else "F"
+
+    def pieces(x: Cond) -> list:
+        p, q, r = x.true_branch, x.condition, x.false_branch
+        p_cond = p.__class__ is Cond
+        r_cond = r.__class__ is Cond
+        index = 2 * p_cond + r_cond
+        out = [")", r] if r_cond else [leaf(r)]
+        if q.__class__ is Cond:
+            out += (_THEN[index], q, _IF[index])
+        else:
+            centre = leaf(q)
+            joint = joints.get(centre)
+            if joint is None:
+                joint = joints[centre] = _joints(centre)
+            out.append(joint[index])
+        if p_cond:
+            out += (p, "(")
+        else:
+            out.append(leaf(p))
+        return out
+
+    if t.__class__ is not Cond:
+        return leaf(t)
+    return render_shared(t, Cond, _COND_CHILDREN, pieces)
 
 
 # ---------------------------------------------------------------------------

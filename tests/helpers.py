@@ -174,6 +174,38 @@ def tree_size(x: c.EvalTree) -> int:
     return 1 + tree_size(x.left) + tree_size(x.right)
 
 
+def paper_render_term(t: c.Term) -> str:
+    """``render_term`` written as the grammar reads: each subterm's text
+    built recursively, conditionals in parentheses."""
+    if isinstance(t, c.TrueConst):
+        return "T"
+    if isinstance(t, c.FalseConst):
+        return "F"
+    if isinstance(t, c.AtomTerm):
+        return c.format_atom(t.atom)
+    parts = []
+    for sub in (t.true_branch, t.condition, t.false_branch):
+        s = paper_render_term(sub)
+        parts.append(f"({s})" if isinstance(sub, c.Cond) else s)
+    return f"{parts[0]} <| {parts[1]} |> {parts[2]}"
+
+
+def paper_render_tree(x: c.EvalTree) -> str:
+    """``render_tree(x, "ascii")`` built recursively."""
+    if isinstance(x, c.Leaf):
+        return "T" if x.value else "F"
+    return f"({paper_render_tree(x.left)} <{c.format_atom(x.atom)}> {paper_render_tree(x.right)})"
+
+
+def condition_nested(k: int, base: c.Term = TA) -> c.Term:
+    """t_k of ``t_{i+1} = t_i <| t_i |> t_i`` from ``t_0 = base``: each
+    t_i is one object reached three times from t_{i+1}."""
+    t = base
+    for _ in range(k):
+        t = c.Cond(t, t, t)
+    return t
+
+
 def se_key(t: c.Term) -> str:
     return c.render_tree(c.se(t))
 

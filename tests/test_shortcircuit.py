@@ -72,7 +72,12 @@ def exprs_upto(conns: int) -> list[c.SclExpr]:
 
 
 def test_render_parse_round_trip():
-    for e in exprs_upto(2):
+    # Atoms spelled like the keywords must not read back as constants.
+    keyword_named = [
+        c.parse_sc(text)
+        for text in ('"true" && a', '"false"', '!"true" || "false" && true')
+    ]
+    for e in exprs_upto(2) + keyword_named:
         assert c.parse_sc(c.render_sc(e)) == e
 
 
