@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (for ``equiv``: equivalent), 1 negative result
 (``equiv``: not equivalent; ``check-axioms``: some instance failed),
-2 usage or input errors, 3 resource budget exhausted (also for input
-nested too deeply to process).
+2 usage or input errors (also an output file that cannot be written),
+3 resource budget exhausted (also for input nested too deeply to
+process).
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("condalg: input nested too deeply", file=sys.stderr)
         return 3
-    except (UsageError, CondAlgError, ValueError) as exc:
+    except (UsageError, CondAlgError, ValueError, OSError) as exc:
         print(f"condalg: {exc}", file=sys.stderr)
         return 2
     finally:

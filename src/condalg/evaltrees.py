@@ -5,10 +5,11 @@ evaluates true, the right branch when it evaluates false.  Leaves carry
 the final result.
 
 The trees ``se`` and the transforms build share subtrees, so a tree's
-text can be far larger than its objects.  The ascii writer of
-``render_tree`` takes time linear in the text: it writes with
+text can be far larger than its objects.  The ascii and json writers of
+``render_tree`` take time linear in the text: they write with
 ``terms.render_shared``, which builds the text of each node reached from
-more than one parent once and keeps no other subtree's text.
+more than one parent once and keeps no other subtree's text.  No writer
+recurses, so any depth renders at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -189,54 +190,66 @@ def tree_to_term(x: EvalTree) -> Term:
 _NODE_CHILDREN = attrgetter("left", "right")
 
 
-def _ascii(x: EvalTree) -> str:
-    joints: dict[str, str] = {}  # atom name -> " <atom> "
+def _write(
+    x: EvalTree,
+    leaves: tuple[str, str],
+    close: str,
+    around: Callable[[Atom], tuple[str, str]],
+) -> str:
+    # The text of a tree, a node written as ``opening``, its left subtree,
+    # ``joint``, its right subtree and ``close``, where ``around(atom)``
+    # is ``(opening, joint)`` and ``leaves`` the texts of F and T.
+    arounds: dict[str, tuple[str, str]] = {}  # atom name -> around(atom)
+    closed = (leaves[0] + close, leaves[1] + close)
 
     def pieces(x: Node) -> list:
         right, left = x.right, x.left
-        out = [")", right] if right.__class__ is Node else ["T)" if right.value else "F)"]
-        joint = joints.get(x.atom.name)
-        if joint is None:
-            joint = joints[x.atom.name] = f" <{format_atom(x.atom)}> "
-        out.append(joint)
+        out = [close, right] if right.__class__ is Node else [closed[right.value]]
+        opening = arounds.get(x.atom.name)
+        if opening is None:
+            opening = arounds[x.atom.name] = around(x.atom)
+        out.append(opening[1])
         if left.__class__ is Node:
-            out += (left, "(")
+            out += (left, opening[0])
         else:
-            out += ("T" if left.value else "F", "(")
+            out += (leaves[left.value], opening[0])
         return out
 
     if x.__class__ is not Node:
-        return "T" if x.value else "F"
+        return leaves[x.value]
     return render_shared(x, Node, _NODE_CHILDREN, pieces)
 
 
-def _json_obj(x: EvalTree):
-    if isinstance(x, Leaf):
-        return "T" if x.value else "F"
-    return {"atom": x.atom.name, "t": _json_obj(x.left), "f": _json_obj(x.right)}
+def _ascii_around(a: Atom) -> tuple[str, str]:
+    return "(", f" <{format_atom(a)}> "
+
+
+def _json_around(a: Atom) -> tuple[str, str]:
+    return f'{{"atom":{json.dumps(a.name)},"t":', ',"f":'
 
 
 def _dot(x: EvalTree) -> str:
     lines = ["digraph evaltree {"]
     edges: list[str] = []
-    counter = 0
-
-    def visit(node: EvalTree) -> int:
-        nonlocal counter
-        ident = counter
-        counter += 1
+    # Pending work, last first: an edge, written once the subtree it leads
+    # to is, or (subtree, its parent's number, the edge's label).  A node's
+    # number is its place in preorder.
+    stack: list = [(x, None, None)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            edges.append(item)
+            continue
+        node, parent, label = item
+        ident = len(lines) - 1
+        if parent is not None:
+            stack.append(f'  n{parent} -> n{ident} [label="{label}"];')
         if isinstance(node, Leaf):
-            label = "T" if node.value else "F"
-            lines.append(f'  n{ident} [label="{label}", shape=box];')
+            value = "T" if node.value else "F"
+            lines.append(f'  n{ident} [label="{value}", shape=box];')
         else:
             lines.append(f'  n{ident} [label="{node.atom.name}"];')
-            left = visit(node.left)
-            edges.append(f'  n{ident} -> n{left} [label="T"];')
-            right = visit(node.right)
-            edges.append(f'  n{ident} -> n{right} [label="F"];')
-        return ident
-
-    visit(x)
+            stack += ((node.right, ident, "F"), (node.left, ident, "T"))
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines)
@@ -251,9 +264,9 @@ def render_tree(x: EvalTree, fmt: str = "ascii") -> str:
     shared subtrees once per occurrence.
     """
     if fmt == "ascii":
-        return _ascii(x)
+        return _write(x, ("F", "T"), ")", _ascii_around)
     if fmt == "json":
-        return json.dumps(_json_obj(x), separators=(",", ":"))
+        return _write(x, ('"F"', '"T"'), "}", _json_around)
     if fmt == "dot":
         return _dot(x)
     raise ValueError(f"unknown tree format: {fmt!r}")

@@ -8,17 +8,16 @@ order for the static congruence.
 ``bf`` shares subterms, so the objects it builds are linear in the term,
 but counted as a tree a normal form can grow exponentially.  Every
 normalizer takes a node budget (default one million nodes) and raises
-NodeBudgetError instead of exhausting memory: ``bf`` and ``mf`` bound
-their result counted as a tree, one node per conditional and per
-constant; ``rpf`` and ``cf`` count only the conditionals they build.  ``mf``
-(and so ``mbf`` and ``sbf``) is one walk that carries the answers given so
-far, in time proportional to its result counted as a tree; ``mbf`` and
-``sbf`` bound only that result, not the shared basic form before it.
+NodeBudgetError instead of exhausting memory.  The budget bounds the
+normalizer's own result counted as a tree, one node per conditional and
+per constant; ``rpbf``, ``cbf``, ``mbf`` and ``sbf`` bound only that
+result, not the shared basic form before it.  ``mf`` (and so ``mbf`` and
+``sbf``) is one walk that carries the answers given so far, in time
+proportional to its result counted as a tree.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable
 
 from .errors import AlphabetCoverageError, NodeBudgetError, NotBasicFormError
@@ -37,33 +36,6 @@ from .terms import (
 )
 
 DEFAULT_NODE_BUDGET = 1_000_000
-
-
-class Side(Enum):
-    """Selects one of a dual pair of auxiliary transformations."""
-
-    TRUE = "true"
-    FALSE = "false"
-
-
-# Looking up an enum member costs more than a module global, and the
-# normalizers test a side once per node.
-_TRUE, _FALSE = Side.TRUE, Side.FALSE
-
-
-class _Budget:
-    __slots__ = ("remaining", "limit")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.remaining = limit
-
-    def spend(self, n: int = 1) -> None:
-        self.remaining -= n
-        if self.remaining < 0:
-            raise NodeBudgetError(
-                f"normal form exceeds the node budget of {self.limit}"
-            )
 
 
 def _require_basic(p: Term, func: str) -> None:
@@ -118,23 +90,24 @@ def subst_tf(p: Term, for_true: Term, for_false: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _branch(p: Cond, side: Side) -> Term:
-    """The outer branch of ``p`` that ``side`` selects."""
-    return p.true_branch if side is _TRUE else p.false_branch
-
-
-def _reduce(p: Term, aux: Callable[..., Term], budget: _Budget) -> Term:
-    # Rewrite each branch with the one-sided helper ``aux`` for its side of
-    # the central atom, then recurse into the result.
+def _reduce(
+    p: Term, aux: Callable[[bool, Atom, Term], Term], node_budget: int, count: int = 0
+) -> tuple[Term, int]:
+    # (form, ``count`` plus the calls made): rewrite each branch with the
+    # one-sided helper ``aux`` for its side of the central atom, then
+    # recurse into the result.  Each call returns one node of the form, so
+    # counting the calls bounds the form counted as a tree as it grows.
+    count += 1
+    if count > node_budget:
+        raise NodeBudgetError(f"normal form exceeds the node budget of {node_budget}")
     if not isinstance(p, Cond):
-        return p
+        return p, count
     a = p.condition.atom
-    left = _reduce(aux(_TRUE, a, p.true_branch, budget), aux, budget)
-    right = _reduce(aux(_FALSE, a, p.false_branch, budget), aux, budget)
+    left, count = _reduce(aux(True, a, p.true_branch), aux, node_budget, count)
+    right, count = _reduce(aux(False, a, p.false_branch), aux, node_budget, count)
     if left is p.true_branch and right is p.false_branch:
-        return p
-    budget.spend()
-    return Cond(left, p.condition, right)
+        return p, count
+    return Cond(left, p.condition, right), count
 
 
 # ---------------------------------------------------------------------------
@@ -142,37 +115,36 @@ def _reduce(p: Term, aux: Callable[..., Term], budget: _Budget) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _rp(side: Side, a: Atom, p: Term, budget: _Budget) -> Term:
+def _rp(side: bool, a: Atom, p: Term) -> Term:
     # Along one side, a repeated atom's branches collapse to two copies of
     # that side's transformed branch.
     if isinstance(p, Cond) and p.condition.atom == a:
-        sub = _rp(side, a, _branch(p, side), budget)
-        budget.spend()
+        sub = _rp(side, a, p.true_branch if side else p.false_branch)
         return Cond(sub, p.condition, sub)
     return p
 
 
-def rp_aux(side: Side, a: Atom, p: Term) -> Term:
+def rp_aux(side: bool, a: Atom, p: Term) -> Term:
     """The one-sided helper of the repetition-proof normalizer.  Rewrites a
     basic form whose central atom repeats ``a`` into the duplicated shape;
     anything else is returned unchanged."""
     _require_basic(p, "rp_aux")
-    return _rp(side, a, p, _Budget(DEFAULT_NODE_BUDGET))
+    return _rp(side, a, p)
 
 
-def _rpf(p: Term, budget: _Budget) -> Term:
-    return _reduce(p, _rp, budget)
+def _rpf(p: Term, node_budget: int) -> Term:
+    return _reduce(p, _rp, node_budget)[0]
 
 
 def rpf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Rewrite a basic form into a repetition-proof basic form."""
     _require_basic(p, "rpf")
-    return _rpf(p, _Budget(node_budget))
+    return _rpf(p, node_budget)
 
 
 def rpbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Repetition-proof normal form of an arbitrary term."""
-    return _rpf(bf(t, node_budget=node_budget), _Budget(node_budget))
+    return _rpf(_bf(t, (TRUE, 0), (FALSE, 0))[0], node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -180,33 +152,32 @@ def rpbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _cr(side: Side, a: Atom, p: Term, budget: _Budget | None) -> Term:
-    # Stripping builds no node, so the budget goes unused.
+def _cr(side: bool, a: Atom, p: Term) -> Term:
     while isinstance(p, Cond) and p.condition.atom == a:
-        p = _branch(p, side)
+        p = p.true_branch if side else p.false_branch
     return p
 
 
-def cr_aux(side: Side, a: Atom, p: Term) -> Term:
+def cr_aux(side: bool, a: Atom, p: Term) -> Term:
     """The one-sided helper of the contractive normalizer: strips repeated
     central occurrences of ``a`` off a basic form."""
     _require_basic(p, "cr_aux")
-    return _cr(side, a, p, None)
+    return _cr(side, a, p)
 
 
-def _cf(p: Term, budget: _Budget) -> Term:
-    return _reduce(p, _cr, budget)
+def _cf(p: Term, node_budget: int) -> Term:
+    return _reduce(p, _cr, node_budget)[0]
 
 
 def cf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Rewrite a basic form into a contractive basic form."""
     _require_basic(p, "cf")
-    return _cf(p, _Budget(node_budget))
+    return _cf(p, node_budget)
 
 
 def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Contractive normal form of an arbitrary term."""
-    return _cf(bf(t, node_budget=node_budget), _Budget(node_budget))
+    return _cf(_bf(t, (TRUE, 0), (FALSE, 0))[0], node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -214,32 +185,30 @@ def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _mem(side: Side, a: Atom, p: Term, budget: _Budget) -> Term:
+def _mem(side: bool, a: Atom, p: Term) -> Term:
     if not isinstance(p, Cond):
         return p
     if p.condition.atom == a:
-        return _mem(side, a, _branch(p, side), budget)
-    left = _mem(side, a, p.true_branch, budget)
-    right = _mem(side, a, p.false_branch, budget)
+        return _mem(side, a, p.true_branch if side else p.false_branch)
+    left = _mem(side, a, p.true_branch)
+    right = _mem(side, a, p.false_branch)
     if left is p.true_branch and right is p.false_branch:
         return p
-    budget.spend()
     return Cond(left, p.condition, right)
 
 
-def mem_aux(side: Side, a: Atom, p: Term) -> Term:
+def mem_aux(side: bool, a: Atom, p: Term) -> Term:
     """The one-sided helper of the memorizing normalizer: resolves every
     occurrence of ``a`` in a basic form to the chosen side."""
     _require_basic(p, "mem_aux")
-    return _mem(side, a, p, _Budget(DEFAULT_NODE_BUDGET))
+    return _mem(side, a, p)
 
 
 def _mf(p: Term, node_budget: int) -> Term:
     # The memorizing form of the basic form ``p``: ``_reduce(p, _mem, ...)``
     # in one walk that carries the answers given so far and skips a
-    # repeated central atom to its remembered branch.
-    # Every node reached, leaves included, is one node of the result, so
-    # counting them bounds the result as it grows.
+    # repeated central atom to its remembered branch.  As in ``_reduce``,
+    # each call of ``walk`` returns one node of the form, and is counted.
     answers: dict[str, bool] = {}
     size = 0
 
@@ -269,20 +238,13 @@ def _mf(p: Term, node_budget: int) -> Term:
 
 
 def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
-    """Rewrite a basic form into a memorizing basic form.
-
-    One walk, in time proportional to the result counted as a tree (plus
-    the repeated queries it skips); raises NodeBudgetError as soon as that
-    tree exceeds ``node_budget`` nodes."""
+    """Rewrite a basic form into a memorizing basic form."""
     _require_basic(p, "mf")
     return _mf(p, node_budget)
 
 
 def mbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
-    """Memorizing normal form of an arbitrary term.  Only the result,
-    counted as a tree, is bounded by ``node_budget``: the basic form in
-    between shares its subterms, so its objects are linear in ``t``."""
-    # The basic form's size is not needed here.
+    """Memorizing normal form of an arbitrary term."""
     return _mf(_bf(t, (TRUE, 0), (FALSE, 0))[0], node_budget)
 
 

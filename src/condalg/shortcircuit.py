@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import OracleError, TermSyntaxError
+from .errors import NestingDepthError, OracleError, TermSyntaxError
 from .terms import (
     Atom,
     AtomTerm,
@@ -128,9 +128,14 @@ def _sc_unary(cur: TokenCursor) -> SclExpr:
 
 def parse_sc(text: str) -> SclExpr:
     """Parse a short-circuit expression (``!``, ``&&``, ``||``,
-    ``true``/``false``, atoms, parentheses)."""
+    ``true``/``false``, atoms, parentheses).  Raises NestingDepthError,
+    as ``parse_term`` does, when the nesting exceeds what the
+    interpreter's recursion limit lets the parser descend."""
     cur = TokenCursor(_SC_TOKENS, text, TermSyntaxError)
-    expr = _sc_or(cur)
+    try:
+        expr = _sc_or(cur)
+    except RecursionError:
+        raise NestingDepthError("input nested too deeply") from None
     cur.finish()
     return expr
 

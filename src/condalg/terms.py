@@ -507,16 +507,20 @@ def term_size(t: Term) -> int:
 
 
 def is_basic_form(t: Term) -> bool:
-    """True iff every central condition in the term is an atom."""
-    if isinstance(t, (TrueConst, FalseConst)):
-        return True
-    if isinstance(t, AtomTerm):
-        return False
-    return (
-        isinstance(t.condition, AtomTerm)
-        and is_basic_form(t.true_branch)
-        and is_basic_form(t.false_branch)
-    )
+    """True iff every central condition in the term is an atom.  Visits
+    each conditional object once, however often it is shared."""
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, AtomTerm):
+            return False
+        if isinstance(x, Cond) and id(x) not in seen:
+            if not isinstance(x.condition, AtomTerm):
+                return False
+            seen.add(id(x))
+            stack += (x.true_branch, x.false_branch)
+    return True
 
 
 def _central_atom(t: Term) -> Atom | None:

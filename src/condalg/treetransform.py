@@ -20,26 +20,17 @@ from __future__ import annotations
 from typing import Callable
 
 from .evaltrees import EvalTree, Leaf, Node, se
-from .normalform import Side, check_alphabet, e_sigma
+from .normalform import check_alphabet, e_sigma
 from .terms import Atom, Cond, Sigma, TRUE, Term
 
-# Looking up an enum member costs more than a module global, and the
-# transforms test a side once per node.
-_TRUE, _FALSE = Side.TRUE, Side.FALSE
 
-
-def _child(x: Node, side: Side) -> EvalTree:
-    """The subtree of ``x`` taken when its atom answers ``side``."""
-    return x.left if side is _TRUE else x.right
-
-
-def _walk(x: EvalTree, aux: Callable[[Side, Atom, EvalTree], EvalTree]) -> EvalTree:
+def _walk(x: EvalTree, aux: Callable[[bool, Atom, EvalTree], EvalTree]) -> EvalTree:
     # Rewrite each subtree with the one-sided helper ``aux`` for the answer
     # that leads into it, then recurse into the result.
     if isinstance(x, Leaf):
         return x
-    left = _walk(aux(_TRUE, x.atom, x.left), aux)
-    right = _walk(aux(_FALSE, x.atom, x.right), aux)
+    left = _walk(aux(True, x.atom, x.left), aux)
+    right = _walk(aux(False, x.atom, x.right), aux)
     if left is x.left and right is x.right:
         return x
     return Node(x.atom, left, right)
@@ -50,11 +41,11 @@ def _walk(x: EvalTree, aux: Callable[[Side, Atom, EvalTree], EvalTree]) -> EvalT
 # ---------------------------------------------------------------------------
 
 
-def rp_tree_aux(side: Side, a: Atom, x: EvalTree) -> EvalTree:
+def rp_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``rp``: duplicates the surviving branch when the
     root repeats ``a``; leaves and other roots pass through."""
     if isinstance(x, Node) and x.atom == a:
-        sub = rp_tree_aux(side, a, _child(x, side))
+        sub = rp_tree_aux(side, a, x.left if side else x.right)
         return Node(a, sub, sub)
     return x
 
@@ -74,10 +65,10 @@ def rpse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def cr_tree_aux(side: Side, a: Atom, x: EvalTree) -> EvalTree:
+def cr_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``cr``: strips repeated root queries of ``a``."""
     while isinstance(x, Node) and x.atom == a:
-        x = _child(x, side)
+        x = x.left if side else x.right
     return x
 
 
@@ -96,13 +87,13 @@ def cse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def mem_tree_aux(side: Side, a: Atom, x: EvalTree) -> EvalTree:
+def mem_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``mem``: resolves every later query of ``a`` to
     the remembered answer."""
     if isinstance(x, Leaf):
         return x
     if x.atom == a:
-        return mem_tree_aux(side, a, _child(x, side))
+        return mem_tree_aux(side, a, x.left if side else x.right)
     left = mem_tree_aux(side, a, x.left)
     right = mem_tree_aux(side, a, x.right)
     if left is x.left and right is x.right:

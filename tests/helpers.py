@@ -157,8 +157,7 @@ def paper_mem(x: c.EvalTree) -> c.EvalTree:
 def paper_mf(p: c.Term) -> c.Term:
     """``mf`` as the paper defines it, over basic forms: each branch
     resolved against the central atom's answer, then reduced in turn."""
-    budget = normalform._Budget(c.DEFAULT_NODE_BUDGET)
-    return normalform._reduce(p, normalform._mem, budget)
+    return normalform._reduce(p, normalform._mem, c.DEFAULT_NODE_BUDGET)[0]
 
 
 def static_prefix(sigma: c.Sigma, t: c.Term) -> c.Term:
@@ -195,6 +194,14 @@ def paper_render_tree(x: c.EvalTree) -> str:
     if isinstance(x, c.Leaf):
         return "T" if x.value else "F"
     return f"({paper_render_tree(x.left)} <{c.format_atom(x.atom)}> {paper_render_tree(x.right)})"
+
+
+def paper_json_obj(x: c.EvalTree):
+    """The object ``render_tree(x, "json")`` writes, built recursively:
+    ``json.dumps`` of it with separators ``(",", ":")`` is the text."""
+    if isinstance(x, c.Leaf):
+        return "T" if x.value else "F"
+    return {"atom": x.atom.name, "t": paper_json_obj(x.left), "f": paper_json_obj(x.right)}
 
 
 def condition_nested(k: int, base: c.Term = TA) -> c.Term:

@@ -356,6 +356,15 @@ def test_eval_state_non_ascii_digit_is_an_input_error(capsys):
     assert "register assignment" in err
 
 
+def test_unwritable_out_file_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "equiv", "--system", "free", "--out", str(target), "a", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("condalg: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
 def test_too_deep_input_exits_with_the_resource_code(capsys):
     # 20,000 connectives: desugaring recurses once per connective
     code, out, err = run(capsys, "desugar", " && ".join(["a"] * 20_001))
@@ -393,6 +402,8 @@ def test_equiv_compares_shared_trees_quickly(capsys):
     code, out, _ = run(capsys, "equiv", "--system", "free", text, text)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (0, "equivalent\n")
+    code, out, _ = run(capsys, "normalize", "--system", "cr", text)
+    assert (code, out) == (0, "T <| a |> F\n")
 
 
 def test_main_reuses_one_parser(capsys):

@@ -26,7 +26,7 @@ from helpers import (
 )
 
 T, F = c.TRUE, c.FALSE
-TRUE_SIDE, FALSE_SIDE = c.Side.TRUE, c.Side.FALSE
+TRUE_SIDE, FALSE_SIDE = True, False
 
 
 def p(text: str) -> c.Term:
@@ -387,8 +387,8 @@ def test_sbf_matches_the_paper_composition():
 def test_memorizing_budget_bounds_the_result_tree_size():
     terms = all_terms_upto(2) + random_terms()
     calls = (
-        [(c.mf, t) for t in basic_forms_ab(2)]
-        + [(c.mbf, t) for t in terms]
+        [(normalize, t) for normalize in (c.rpf, c.cf, c.mf) for t in basic_forms_ab(2)]
+        + [(normalize, t) for normalize in (c.rpbf, c.cbf, c.mbf) for t in terms]
         + [(functools.partial(c.sbf, SIGMA_BA), t) for t in terms]
     )
     for normalize, t in calls:
@@ -409,3 +409,4 @@ def test_mbf_budget_is_not_spent_on_the_basic_form():
     with pytest.raises(c.NodeBudgetError):
         c.bf(t)
     assert c.mbf(t, node_budget=3) == p("T <| a |> F")
+    assert c.cbf(t, node_budget=3) == p("T <| a |> F")

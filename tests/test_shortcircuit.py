@@ -50,6 +50,14 @@ def test_parse_sc_errors(bad):
         c.parse_sc(bad)
 
 
+@pytest.mark.parametrize(
+    "text", ["!" * 5_000 + "a", "(" * 5_000 + "a" + ")" * 5_000], ids=["not", "parens"]
+)
+def test_parse_sc_too_deep_raises_a_typed_error(text):
+    with pytest.raises(c.NestingDepthError, match="^input nested too deeply$"):
+        c.parse_sc(text)
+
+
 @lru_cache(maxsize=None)
 def _exprs_with(conns: int) -> tuple[c.SclExpr, ...]:
     if conns == 0:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import condalg as c
-from helpers import AB, ATOM_A, ATOM_B, TA, TB, all_terms_upto, basic_forms_ab
+from helpers import AB, ATOM_A, ATOM_B, TA, TB, all_terms_upto, basic_forms_ab, condition_nested
 
 T, F = c.TRUE, c.FALSE
 
@@ -188,6 +189,18 @@ def test_is_basic_form_examples():
     assert not c.is_basic_form(c.Cond(TA, c.Cond(F, TA, T), F))
     assert c.is_basic_form(F)
     assert not c.is_basic_form(TA)
+
+
+def test_is_basic_form_walks_shared_and_deep_terms():
+    t = condition_nested(6)
+    start = time.perf_counter()
+    assert c.mf(c.bf(t, node_budget=10**30)) == c.Cond(T, TA, F)
+    assert time.perf_counter() - start < 1.0
+    chain = F
+    for _ in range(5_000):
+        chain = c.Cond(T, TA, chain)
+    assert c.is_basic_form(chain)
+    assert not c.is_basic_form(c.Cond(chain, TA, TB))
 
 
 def test_is_rp_basic_form_examples():

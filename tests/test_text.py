@@ -3,6 +3,7 @@ round trips, whitespace, and the memory a render takes."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ from condalg import terms
 from helpers import (
     all_terms_upto,
     condition_nested,
+    paper_json_obj,
     paper_render_term,
     paper_render_tree,
     random_terms,
@@ -108,9 +110,12 @@ def test_parse_reads_back_what_render_writes():
 
 
 def test_render_tree_matches_the_recursive_oracle():
-    trees = list(tree_pool(2)) + [c.se(t) for t in POOL] + _shared_trees()
+    odd = c.Node(c.Atom("a b\\é\t"), c.LEAF_T, c.Node(c.Atom("a"), c.LEAF_F, c.LEAF_T))
+    trees = list(tree_pool(2)) + [c.se(t) for t in POOL] + _shared_trees() + [odd]
     for x in trees:
         assert c.render_tree(x) == paper_render_tree(x)
+        json_text = json.dumps(paper_json_obj(x), separators=(",", ":"))
+        assert c.render_tree(x, "json") == json_text
 
 
 def test_shared_text_is_written_out_in_full():
@@ -243,3 +248,14 @@ def test_rendering_a_deep_unshared_chain_keeps_memory_linear(render, build):
     chars, peak = _peak(render, x)
     assert chars > 30_000
     assert peak <= BYTES_PER_CHAR * chars, f"{peak} bytes for {chars} characters"
+
+
+def test_every_tree_format_renders_a_deep_chain():
+    x = _deep_tree(5_000)
+    text = c.render_tree(x, "json")
+    assert text.startswith('{"atom":"a","t":"T","f":{"atom":"a"')
+    assert text.endswith('"f":"F"' + "}" * 5_000)
+    lines = c.render_tree(x, "dot").splitlines()
+    assert len(lines) == 2 + 10_001 + 10_000
+    assert lines[10_001] == '  n10000 [label="F", shape=box];'
+    assert lines[-2] == '  n0 -> n2 [label="F"];'

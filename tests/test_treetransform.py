@@ -24,7 +24,7 @@ from helpers import (
 
 T, F = c.TRUE, c.FALSE
 LT, LF = c.LEAF_T, c.LEAF_F
-TRUE_SIDE, FALSE_SIDE = c.Side.TRUE, c.Side.FALSE
+TRUE_SIDE, FALSE_SIDE = True, False
 
 
 def p(text: str) -> c.Term:
