@@ -186,20 +186,33 @@ def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 
 
 def _mem(side: bool, a: Atom, p: Term) -> Term:
-    if not isinstance(p, Cond):
-        return p
-    if p.condition.atom == a:
-        return _mem(side, a, p.true_branch if side else p.false_branch)
-    left = _mem(side, a, p.true_branch)
-    right = _mem(side, a, p.false_branch)
-    if left is p.true_branch and right is p.false_branch:
-        return p
-    return Cond(left, p.condition, right)
+    # Each object of ``p`` is resolved once and its answer reused wherever
+    # it is shared, so the walk is linear in the objects, not in the tree.
+    done: dict[int, Term] = {}
+
+    def walk(p: Term) -> Term:
+        q = done.get(id(p))
+        if q is not None:
+            return q
+        if not isinstance(p, Cond):
+            return p
+        if p.condition.atom == a:
+            q = walk(p.true_branch if side else p.false_branch)
+        else:
+            left = walk(p.true_branch)
+            right = walk(p.false_branch)
+            unchanged = left is p.true_branch and right is p.false_branch
+            q = p if unchanged else Cond(left, p.condition, right)
+        done[id(p)] = q
+        return q
+
+    return walk(p)
 
 
 def mem_aux(side: bool, a: Atom, p: Term) -> Term:
     """The one-sided helper of the memorizing normalizer: resolves every
-    occurrence of ``a`` in a basic form to the chosen side."""
+    occurrence of ``a`` in a basic form to the chosen side, in time linear
+    in the objects of ``p`` even where it shares subterms."""
     _require_basic(p, "mem_aux")
     return _mem(side, a, p)
 
@@ -238,13 +251,20 @@ def _mf(p: Term, node_budget: int) -> Term:
 
 
 def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
-    """Rewrite a basic form into a memorizing basic form."""
+    """Rewrite a basic form into a memorizing basic form.
+
+    One walk, in time proportional to the result counted as a tree (plus
+    the repeated queries it skips); raises NodeBudgetError as soon as that
+    tree exceeds ``node_budget`` nodes."""
     _require_basic(p, "mf")
     return _mf(p, node_budget)
 
 
 def mbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
-    """Memorizing normal form of an arbitrary term."""
+    """Memorizing normal form of an arbitrary term.  Only the result,
+    counted as a tree, is bounded by ``node_budget``: the basic form in
+    between shares its subterms, so its objects are linear in ``t``."""
+    # The basic form's size is not needed here.
     return _mf(_bf(t, (TRUE, 0), (FALSE, 0))[0], node_budget)
 
 

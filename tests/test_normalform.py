@@ -18,6 +18,7 @@ from helpers import (
     TB,
     all_terms_upto,
     basic_forms_ab,
+    condition_nested,
     paper_mf,
     paper_se,
     random_terms,
@@ -249,6 +250,11 @@ def test_mem_aux_examples():
     )
     assert c.mem_aux(FALSE_SIDE, ATOM_A, p("T <| a |> F")) == F
     assert c.mem_aux(TRUE_SIDE, ATOM_A, F) == F
+    # The basic form of t_6 shares its subterms: far too many nodes to
+    # visit counted as a tree, but few objects.
+    shared = c.bf(condition_nested(6), node_budget=10**30)
+    assert c.mem_aux(TRUE_SIDE, ATOM_A, shared) == T
+    assert c.mem_aux(FALSE_SIDE, ATOM_B, shared) is shared
 
 
 def test_mf_mbf_examples():
