@@ -4,7 +4,9 @@ Exit codes: 0 success (for ``equiv``: equivalent), 1 negative result
 (``equiv``: not equivalent; ``check-axioms``: some instance failed),
 2 usage or input errors (also an output file that cannot be written),
 3 resource budget exhausted (also for input nested too deeply to
-process).
+process), 4 internal error: any other exception, reported on one line
+as ``condalg: internal error: <type>: <message>``, so that a bug never
+exits with a verdict's code.
 """
 
 from __future__ import annotations
@@ -265,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, CondAlgError, ValueError, OSError) as exc:
         print(f"condalg: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"condalg: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     finally:
         sys.setrecursionlimit(limit)
 

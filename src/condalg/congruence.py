@@ -8,7 +8,7 @@ The module also carries the equational systems (CP and its extensions) as
 instantiable schemes, a truth-table generator for the propositional
 translation of the conditional, and the built-in witnesses separating the
 congruence lattice's adjacent levels.  Truth tables are bit-parallel: the
-translation is evaluated once, on integers holding one bit per row.
+term is folded once into integers holding one bit per row.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from .terms import (
     AtomTerm,
     Cond,
     FALSE,
-    FalseConst,
     Sigma,
     TRUE,
     Term,
-    TrueConst,
     alphabet,
+    fold,
     format_atom,
     iter_atoms_sorted,
+    term_children,
 )
 from .treetransform import cse, mse, rpse, sse
 
@@ -146,19 +146,18 @@ P_TRUE = PTrue()
 P_FALSE = PFalse()
 
 
+def _formula(x: Term, kids: list[PropFormula]) -> PropFormula:
+    if not kids:
+        return PAtom(x.atom) if isinstance(x, AtomTerm) else P_TRUE if x == TRUE else P_FALSE
+    p, q, r = kids
+    return POr(PAnd(p, q), PAnd(PNot(q), r))
+
+
 def to_propositional(t: Term) -> PropFormula:
     """Translate a conditional into two-valued logic, with no
-    simplification: ``p <| q |> r`` becomes ``(p ∧ q) ∨ (¬q ∧ r)``."""
-    if isinstance(t, TrueConst):
-        return P_TRUE
-    if isinstance(t, FalseConst):
-        return P_FALSE
-    if isinstance(t, AtomTerm):
-        return PAtom(t.atom)
-    p = to_propositional(t.true_branch)
-    q = to_propositional(t.condition)
-    r = to_propositional(t.false_branch)
-    return POr(PAnd(p, q), PAnd(PNot(q), r))
+    simplification: ``p <| q |> r`` becomes ``(p ∧ q) ∨ (¬q ∧ r)``, and a
+    subterm shared in ``t`` (so each ``q``) gives one shared subformula."""
+    return fold(t, term_children, _formula)
 
 
 def eval_formula(f: PropFormula, assignment: Mapping[Atom, bool]) -> bool:
@@ -188,9 +187,10 @@ class TruthTable:
 def truth_table(t: Term, sigma: Sigma) -> TruthTable:
     """Tabulate the propositional translation of ``t`` over ``sigma``.
 
-    The translation is evaluated once, on all rows at a time: each atom's
-    column is an integer with one bit per row, and each formula object is
-    evaluated once, so the cost does not grow with the condition nesting.
+    Every row is computed at once: each atom's column is an integer with
+    one bit per row, and ``t`` is folded into such integers, ``p <| q |>
+    r`` as ``(p & q) | (~q & r)``, each term object once, so the cost does
+    not grow with the condition nesting.
     """
     check_alphabet(t, sigma, "truth_table")
     if len(sigma) > MAX_SIGMA_FOR_TABLES:
@@ -200,7 +200,15 @@ def truth_table(t: Term, sigma: Sigma) -> TruthTable:
     n = len(sigma)
     full = (1 << (1 << n)) - 1
     columns = {a: _column(j, n, full) for j, a in enumerate(sigma.atoms)}
-    value = _formula_bits(to_propositional(t), columns, full, {})
+
+    def on_rows(x: Term, kids: list[int]) -> int:
+        # ``x`` on every row at once, one bit per row.
+        if not kids:
+            return columns[x.atom] if isinstance(x, AtomTerm) else full if x == TRUE else 0
+        p, q, r = kids
+        return (p & q) | ((full ^ q) & r)
+
+    value = fold(t, term_children, on_rows)
     # Bit i of ``value`` is row i's value; the binary text lists bits from
     # the highest row down.
     bits = reversed(format(value, f"0{1 << n}b"))
@@ -216,33 +224,6 @@ def _column(j: int, n: int, full: int) -> int:
     # 2*period-bit block times the repunit in base 2**(2*period).
     period = 1 << (n - 1 - j)
     return ((1 << period) - 1) * (full // ((1 << 2 * period) - 1))
-
-
-def _formula_bits(
-    f: PropFormula, columns: dict[Atom, int], full: int, memo: dict[int, int]
-) -> int:
-    # ``f`` evaluated on every row at once, one bit per row.  The
-    # translation repeats each condition's formula object, so results are
-    # memoized by object identity.
-    hit = memo.get(id(f))
-    if hit is not None:
-        return hit
-    if isinstance(f, PAtom):
-        bits = columns[f.atom]
-    elif isinstance(f, PNot):
-        bits = full ^ _formula_bits(f.operand, columns, full, memo)
-    elif isinstance(f, PAnd):
-        bits = _formula_bits(f.left, columns, full, memo) & _formula_bits(
-            f.right, columns, full, memo
-        )
-    elif isinstance(f, POr):
-        bits = _formula_bits(f.left, columns, full, memo) | _formula_bits(
-            f.right, columns, full, memo
-        )
-    else:
-        bits = full if isinstance(f, PTrue) else 0
-    memo[id(f)] = bits
-    return bits
 
 
 def render_truth_table(table: TruthTable, fmt: str = "text", *, title: str = "value") -> str:

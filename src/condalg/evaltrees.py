@@ -28,6 +28,7 @@ from .terms import (
     Term,
     TRUE,
     TrueConst,
+    fold,
     format_atom,
     render_shared,
 )
@@ -175,11 +176,19 @@ def same_tree(x: EvalTree, y: EvalTree) -> bool:
         x, y = pending.pop()
 
 
+def tree_children(x: EvalTree) -> tuple[EvalTree, ...]:
+    """A node's left and right subtrees; none for a leaf."""
+    return (x.left, x.right) if x.__class__ is Node else ()
+
+
 def tree_to_term(x: EvalTree) -> Term:
-    """The unique basic form whose evaluation tree is ``x``."""
-    if isinstance(x, Leaf):
-        return TRUE if x.value else FALSE
-    return Cond(tree_to_term(x.left), AtomTerm(x.atom), tree_to_term(x.right))
+    """The unique basic form whose evaluation tree is ``x``.  A subtree
+    shared in ``x`` gives one shared subterm."""
+    return fold(x, tree_children, _term_of)
+
+
+def _term_of(x: EvalTree, kids: list[Term]) -> Term:
+    return Cond(kids[0], AtomTerm(x.atom), kids[1]) if kids else TRUE if x.value else FALSE
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ from .terms import (
     Term,
     TrueConst,
     alphabet,
+    fold,
     is_basic_form,
     render_term,
+    term_children,
 )
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -186,27 +188,19 @@ def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 
 
 def _mem(side: bool, a: Atom, p: Term) -> Term:
-    # Each object of ``p`` is resolved once and its answer reused wherever
-    # it is shared, so the walk is linear in the objects, not in the tree.
-    done: dict[int, Term] = {}
-
-    def walk(p: Term) -> Term:
-        q = done.get(id(p))
-        if q is not None:
-            return q
-        if not isinstance(p, Cond):
+    # A fold, so each object of ``p`` is resolved once and its answer
+    # reused wherever it is shared: linear in the objects, not the tree.
+    def step(p: Term, kids: list[Term]) -> Term:
+        if not kids:
             return p
+        left, _, right = kids
         if p.condition.atom == a:
-            q = walk(p.true_branch if side else p.false_branch)
-        else:
-            left = walk(p.true_branch)
-            right = walk(p.false_branch)
-            unchanged = left is p.true_branch and right is p.false_branch
-            q = p if unchanged else Cond(left, p.condition, right)
-        done[id(p)] = q
-        return q
+            return left if side else right
+        if left is p.true_branch and right is p.false_branch:
+            return p
+        return Cond(left, p.condition, right)
 
-    return walk(p)
+    return fold(p, term_children, step)
 
 
 def mem_aux(side: bool, a: Atom, p: Term) -> Term:

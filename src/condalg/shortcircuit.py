@@ -233,9 +233,14 @@ def _eval_primary(cur: TokenCursor, state: Mapping[str, int]) -> int:
 
 def _eval_register_expr(text: str, state: Mapping[str, int]) -> int:
     """Evaluate a register expression: integers, register names, binary
-    + and -, parentheses."""
+    + and -, parentheses.  Raises NestingDepthError, as ``parse_term``
+    does, when the parentheses nest deeper than the interpreter's
+    recursion limit lets the evaluator descend."""
     cur = TokenCursor(_EXPR_TOKENS, text, _expr_error)
-    value = _eval_sum(cur, state)
+    try:
+        value = _eval_sum(cur, state)
+    except RecursionError:
+        raise NestingDepthError("input nested too deeply") from None
     cur.finish()
     return value
 

@@ -440,18 +440,52 @@ def render_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 
 
+_EXIT = object()
+
+
+def fold(root: object, children: Callable, combine: Callable) -> object:
+    """The value of ``root``, where an object's value is ``combine(x,
+    values)`` and ``values`` lists those of ``children(x)``.  Walks with
+    an explicit stack, so any depth folds at the default recursion limit,
+    and combines each distinct object once (keyed on ``id``)."""
+    kids = children(root)
+    if not kids:
+        return combine(root, kids)
+    values: dict[int, object] = {}
+    # Pending work, last first: an object to enter, or _EXIT on top of an
+    # entered object and its children, popped once they all have values.
+    stack: list = [kids, root, _EXIT, *kids]
+    while stack:
+        x = stack.pop()
+        if x is _EXIT:
+            x = stack.pop()
+            values[id(x)] = combine(x, [values[id(k)] for k in stack.pop()])
+        elif id(x) not in values:
+            kids = children(x)
+            if kids:
+                stack += (kids, x, _EXIT, *kids)
+            else:
+                values[id(x)] = combine(x, kids)
+    return values[id(root)]
+
+
+def term_children(t: Term) -> tuple[Term, ...]:
+    """A conditional's branches and condition, in text order; none else."""
+    return (t.true_branch, t.condition, t.false_branch) if t.__class__ is Cond else ()
+
+
+def _dual(x: Term, kids: list[Term]) -> Term:
+    if kids:
+        return Cond(kids[2], kids[1], kids[0])
+    return FALSE if isinstance(x, TrueConst) else TRUE if isinstance(x, FalseConst) else x
+
+
 def dual(t: Term) -> Term:
     """Swap T and F and the two outer branches, recursively.
 
     An involution: ``dual(dual(t)) == t``.
     """
-    if isinstance(t, TrueConst):
-        return FALSE
-    if isinstance(t, FalseConst):
-        return TRUE
-    if isinstance(t, AtomTerm):
-        return t
-    return Cond(dual(t.false_branch), dual(t.condition), dual(t.true_branch))
+    return fold(t, term_children, _dual)
 
 
 def alphabet(t: Term) -> AtomSet:
@@ -470,11 +504,7 @@ def alphabet(t: Term) -> AtomSet:
 def depth(t: Term) -> int:
     """Nesting depth: constants and atoms are 0, a conditional is one more
     than its deepest child (condition position included)."""
-    if isinstance(t, Cond):
-        return 1 + max(
-            depth(t.true_branch), depth(t.condition), depth(t.false_branch)
-        )
-    return 0
+    return fold(t, term_children, lambda x, depths: 1 + max(depths) if depths else 0)
 
 
 def term_size(t: Term) -> int:
@@ -484,21 +514,7 @@ def term_size(t: Term) -> int:
     counted once per occurrence, so this is the size of the rendered tree,
     not the object count.
     """
-    sizes: dict[int, int] = {}
-
-    def walk(x: Term) -> int:
-        key = id(x)
-        hit = sizes.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(x, Cond):
-            n = 1 + walk(x.true_branch) + walk(x.condition) + walk(x.false_branch)
-        else:
-            n = 1
-        sizes[key] = n
-        return n
-
-    return walk(t)
+    return fold(t, term_children, lambda x, sizes: 1 + sum(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -506,21 +522,9 @@ def term_size(t: Term) -> int:
 # ---------------------------------------------------------------------------
 
 
-def is_basic_form(t: Term) -> bool:
-    """True iff every central condition in the term is an atom.  Visits
-    each conditional object once, however often it is shared."""
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, AtomTerm):
-            return False
-        if isinstance(x, Cond) and id(x) not in seen:
-            if not isinstance(x.condition, AtomTerm):
-                return False
-            seen.add(id(x))
-            stack += (x.true_branch, x.false_branch)
-    return True
+def _branches(t: Term) -> tuple[Term, ...]:
+    # A basic form's conditions are atoms: its structure is in its branches.
+    return (t.true_branch, t.false_branch) if t.__class__ is Cond else ()
 
 
 def _central_atom(t: Term) -> Atom | None:
@@ -529,66 +533,75 @@ def _central_atom(t: Term) -> Atom | None:
     return None
 
 
+def _basic(x: Term, kids: list) -> bool:
+    if x.__class__ is Cond:
+        return x.condition.__class__ is AtomTerm and kids[0] and kids[1]
+    return x.__class__ is not AtomTerm
+
+
+def is_basic_form(t: Term) -> bool:
+    """True iff every central condition in the term is an atom.  Visits
+    each conditional object once, however often it is shared."""
+    return fold(t, _branches, _basic)
+
+
 def is_rp_basic_form(t: Term) -> bool:
     """Basic form where a child repeating its parent's atom must have the
     shape ``Q <| a |> Q`` with identical outer arguments."""
-    if isinstance(t, (TrueConst, FalseConst)):
-        return True
-    if not isinstance(t, Cond) or not isinstance(t.condition, AtomTerm):
-        return False
-    a = t.condition.atom
-    for child in (t.true_branch, t.false_branch):
-        if not is_rp_basic_form(child):
-            return False
-        if isinstance(child, Cond) and _central_atom(child) == a:
-            if child.true_branch != child.false_branch:
-                return False
-    return True
+    numbers: dict[tuple, int] = {}  # equal forms get equal numbers
+
+    def step(x: Term, kids: list) -> tuple | None:
+        # (number, central atom, branches' numbers) of an rp basic form, else None.
+        a = _central_atom(x)
+        if not _basic(x, kids) or any(b == a and l != r for _, b, l, r in kids):
+            return None
+        key = (a, kids[0][0], kids[1][0]) if kids else (None, x.__class__, None)
+        return numbers.setdefault(key, len(numbers)), *key
+
+    return fold(t, _branches, step) is not None
 
 
 def is_cr_basic_form(t: Term) -> bool:
     """Basic form in which no child repeats its parent's central atom."""
-    if isinstance(t, (TrueConst, FalseConst)):
-        return True
-    if not isinstance(t, Cond) or not isinstance(t.condition, AtomTerm):
-        return False
-    a = t.condition.atom
-    for child in (t.true_branch, t.false_branch):
-        if not is_cr_basic_form(child):
-            return False
-        if isinstance(child, Cond) and _central_atom(child) == a:
-            return False
-    return True
+
+    def step(x: Term, kids: list[bool]) -> bool:
+        return _basic(x, kids) and _central_atom(x) not in map(_central_atom, _branches(x))
+
+    return fold(t, _branches, step)
 
 
 def is_mem_basic_form(t: Term) -> bool:
     """Basic form in which no atom reoccurs anywhere below its own node."""
-    if isinstance(t, (TrueConst, FalseConst)):
-        return True
-    if not isinstance(t, Cond) or not isinstance(t.condition, AtomTerm):
-        return False
-    a = t.condition.atom
-    for child in (t.true_branch, t.false_branch):
-        if not is_mem_basic_form(child):
-            return False
-        if a in alphabet(child):
-            return False
-    return True
+    bits: dict[Atom, int] = {}  # atom -> its bit in a set of atoms
+
+    def atoms(x: Term, kids: list[int]) -> int:
+        # The atoms of a memorizing basic form as a bitset; -1 otherwise.
+        if not kids:
+            return -1 if x.__class__ is AtomTerm else 0
+        a = _central_atom(x)
+        if a is None:
+            return -1
+        bit = bits.setdefault(a, 1 << len(bits))
+        below = kids[0] | kids[1]  # -1 if either is
+        return -1 if below & bit else below | bit
+
+    return fold(t, _branches, atoms) >= 0
 
 
 def is_st_basic_form(t: Term, sigma: Sigma) -> bool:
     """True iff the term is a full binary tree layered in reverse order of
     ``sigma``: the last atom of sigma at the root, constants at the leaves."""
-    return _is_st_over(t, sigma.atoms)
+    order = sigma.atoms
 
+    def layers(x: Term, kids: list[int]) -> int:
+        # k when ``x`` is layered over the first k atoms of sigma; else -1.
+        if not kids:
+            return -1 if x.__class__ is AtomTerm else 0
+        k = kids[0]
+        ok = 0 <= k == kids[1] < len(order) and _central_atom(x) == order[k]
+        return k + 1 if ok else -1
 
-def _is_st_over(t: Term, atoms: tuple[Atom, ...]) -> bool:
-    if not atoms:
-        return isinstance(t, (TrueConst, FalseConst))
-    if not isinstance(t, Cond) or _central_atom(t) != atoms[-1]:
-        return False
-    rest = atoms[:-1]
-    return _is_st_over(t.true_branch, rest) and _is_st_over(t.false_branch, rest)
+    return fold(t, _branches, layers) == len(order)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .evaltrees import EvalTree, Leaf, Node, se
+from .evaltrees import EvalTree, Leaf, Node, se, tree_children
 from .normalform import check_alphabet, e_sigma
-from .terms import Atom, Cond, Sigma, TRUE, Term
+from .terms import Atom, Cond, Sigma, TRUE, Term, fold
 
 
 def _walk(x: EvalTree, aux: Callable[[bool, Atom, EvalTree], EvalTree]) -> EvalTree:
@@ -89,16 +89,17 @@ def cse(t: Term) -> EvalTree:
 
 def mem_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``mem``: resolves every later query of ``a`` to
-    the remembered answer."""
-    if isinstance(x, Leaf):
-        return x
-    if x.atom == a:
-        return mem_tree_aux(side, a, x.left if side else x.right)
-    left = mem_tree_aux(side, a, x.left)
-    right = mem_tree_aux(side, a, x.right)
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
+    the remembered answer, in time linear in the objects of ``x``."""
+
+    def step(x: EvalTree, kids: list[EvalTree]) -> EvalTree:
+        if not kids:
+            return x
+        left, right = kids
+        if x.atom == a:
+            return left if side else right
+        return x if left is x.left and right is x.right else Node(x.atom, left, right)
+
+    return fold(x, tree_children, step)
 
 
 def mem(x: EvalTree) -> EvalTree:

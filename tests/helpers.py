@@ -225,3 +225,68 @@ ALL_KINDS = (
     c.static(SIGMA_AB),
     c.static(SIGMA_BA),
 )
+
+
+def _paper_central_atom(t: c.Term) -> c.Atom | None:
+    if isinstance(t, c.Cond) and isinstance(t.condition, c.AtomTerm):
+        return t.condition.atom
+    return None
+
+
+def paper_is_rp_basic_form(t: c.Term) -> bool:
+    """``is_rp_basic_form`` written recursively, as the paper defines it."""
+    if isinstance(t, (c.TrueConst, c.FalseConst)):
+        return True
+    if not isinstance(t, c.Cond) or not isinstance(t.condition, c.AtomTerm):
+        return False
+    a = t.condition.atom
+    for child in (t.true_branch, t.false_branch):
+        if not paper_is_rp_basic_form(child):
+            return False
+        if isinstance(child, c.Cond) and _paper_central_atom(child) == a:
+            if child.true_branch != child.false_branch:
+                return False
+    return True
+
+
+def paper_is_cr_basic_form(t: c.Term) -> bool:
+    """``is_cr_basic_form`` written recursively, as the paper defines it."""
+    if isinstance(t, (c.TrueConst, c.FalseConst)):
+        return True
+    if not isinstance(t, c.Cond) or not isinstance(t.condition, c.AtomTerm):
+        return False
+    a = t.condition.atom
+    for child in (t.true_branch, t.false_branch):
+        if not paper_is_cr_basic_form(child):
+            return False
+        if isinstance(child, c.Cond) and _paper_central_atom(child) == a:
+            return False
+    return True
+
+
+def paper_is_mem_basic_form(t: c.Term) -> bool:
+    """``is_mem_basic_form`` written recursively, as the paper defines it."""
+    if isinstance(t, (c.TrueConst, c.FalseConst)):
+        return True
+    if not isinstance(t, c.Cond) or not isinstance(t.condition, c.AtomTerm):
+        return False
+    a = t.condition.atom
+    for child in (t.true_branch, t.false_branch):
+        if not paper_is_mem_basic_form(child):
+            return False
+        if a in c.alphabet(child):
+            return False
+    return True
+
+
+def paper_is_st_basic_form(t: c.Term, sigma: c.Sigma) -> bool:
+    """``is_st_basic_form`` written recursively: the last atom of sigma at
+    the root, each branch layered over the atoms before it."""
+    if not sigma.atoms:
+        return isinstance(t, (c.TrueConst, c.FalseConst))
+    if not isinstance(t, c.Cond) or _paper_central_atom(t) != sigma.atoms[-1]:
+        return False
+    rest = c.Sigma(sigma.atoms[:-1])
+    return paper_is_st_basic_form(t.true_branch, rest) and paper_is_st_basic_form(
+        t.false_branch, rest
+    )

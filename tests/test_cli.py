@@ -373,6 +373,17 @@ def test_too_deep_input_exits_with_the_resource_code(capsys):
     assert err == "condalg: input nested too deeply\n"
 
 
+def test_an_unmapped_exception_exits_with_the_internal_error_code(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli._COMMANDS, "witnesses", broken)
+    code, out, err = run(capsys, "witnesses")
+    assert code == 4
+    assert out == ""
+    assert err == "condalg: internal error: KeyError: 'missing'\n"
+
+
 def test_main_restores_the_recursion_limit(capsys):
     # A limit of the test's own, since an earlier main() may have left one.
     before = sys.getrecursionlimit()

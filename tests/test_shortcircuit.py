@@ -196,6 +196,17 @@ def test_oracle_refuses_bad_atoms(atom_text):
         oracle(c.Atom(atom_text))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_too_deep_register_expression_raises_a_typed_error(side):
+    deep = "(" * 3_000 + "n" + ")" * 3_000
+    text = f"({deep}==0)" if side == "left" else f"(n=={deep})"
+    oracle = c.make_register_oracle({"n": 0})
+    with pytest.raises(c.NestingDepthError, match="^input nested too deeply$"):
+        oracle(c.Atom(text))
+    # a shallower one still evaluates
+    assert oracle(c.Atom("(" + "(" * 50 + "n" + ")" * 50 + "==0)"))
+
+
 def test_parse_register_state():
     assert c.parse_register_state("n=0,m=3") == {"n": 0, "m": 3}
     assert c.parse_register_state(" ") == {}
