@@ -131,20 +131,20 @@ def evaluations(x: EvalTree) -> list[Evaluation]:
     A bare leaf yields the single empty-path evaluation.
     """
     out: list[Evaluation] = []
-    prefix: list[tuple[Atom, bool]] = []
-
-    def walk(node: EvalTree) -> None:
+    path: list[tuple[Atom, bool]] = []
+    # Pending subtrees, last first, each with the length of the path above
+    # it and the step into it (None for the root).
+    stack: list = [(x, 0, None)]
+    while stack:
+        node, depth, step = stack.pop()
+        del path[depth:]
+        if step is not None:
+            path.append(step)
         if isinstance(node, Leaf):
-            out.append(Evaluation(tuple(prefix), node.value))
-            return
-        prefix.append((node.atom, True))
-        walk(node.left)
-        prefix.pop()
-        prefix.append((node.atom, False))
-        walk(node.right)
-        prefix.pop()
-
-    walk(x)
+            out.append(Evaluation(tuple(path), node.value))
+        else:
+            depth = len(path)
+            stack += ((node.right, depth, (node.atom, False)), (node.left, depth, (node.atom, True)))
     return out
 
 
@@ -294,10 +294,18 @@ def evaluate_with_oracle(t: Term, oracle: AtomOracle) -> bool:
     one root-to-leaf path of ``se(t)``; a stateful oracle may answer
     repeat queries differently.
     """
-    while isinstance(t, Cond):
-        t = t.true_branch if evaluate_with_oracle(t.condition, oracle) else t.false_branch
-    if isinstance(t, TrueConst):
-        return True
-    if isinstance(t, FalseConst):
-        return False
-    return bool(oracle(t.atom))
+    pending: list[Cond] = []  # conditionals whose condition is running
+    while True:
+        while isinstance(t, Cond):
+            pending.append(t)
+            t = t.condition
+        if isinstance(t, TrueConst):
+            value = True
+        elif isinstance(t, FalseConst):
+            value = False
+        else:
+            value = bool(oracle(t.atom))
+        if not pending:
+            return value
+        cond = pending.pop()
+        t = cond.true_branch if value else cond.false_branch

@@ -11,9 +11,12 @@ normalizer takes a node budget (default one million nodes) and raises
 NodeBudgetError instead of exhausting memory.  The budget bounds the
 normalizer's own result counted as a tree, one node per conditional and
 per constant; ``rpbf``, ``cbf``, ``mbf`` and ``sbf`` bound only that
-result, not the shared basic form before it.  ``mf`` (and so ``mbf`` and
-``sbf``) is one walk that carries the answers given so far, in time
-proportional to its result counted as a tree.
+result, not the shared basic form before it.  ``rpf`` and ``cf`` (and so
+``rpbf`` and ``cbf``) walk each object of their input once, in time
+linear in the objects of the input plus the shared form they build, and
+work out each result object's size counted as a tree once.  ``mf`` (and
+so ``mbf`` and ``sbf``) is one walk that carries the answers given so far,
+in time proportional to its result counted as a tree.
 """
 
 from __future__ import annotations
@@ -88,28 +91,73 @@ def subst_tf(p: Term, for_true: Term, for_false: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# The post-processing walk shared by rpf, cf and mf
+# The post-processing walk shared by rpf and cf
 # ---------------------------------------------------------------------------
 
 
-def _reduce(
-    p: Term, aux: Callable[[bool, Atom, Term], Term], node_budget: int, count: int = 0
-) -> tuple[Term, int]:
-    # (form, ``count`` plus the calls made): rewrite each branch with the
-    # one-sided helper ``aux`` for its side of the central atom, then
-    # recurse into the result.  Each call returns one node of the form, so
-    # counting the calls bounds the form counted as a tree as it grows.
-    count += 1
-    if count > node_budget:
-        raise NodeBudgetError(f"normal form exceeds the node budget of {node_budget}")
-    if not isinstance(p, Cond):
-        return p, count
-    a = p.condition.atom
-    left, count = _reduce(aux(True, a, p.true_branch), aux, node_budget, count)
-    right, count = _reduce(aux(False, a, p.false_branch), aux, node_budget, count)
-    if left is p.true_branch and right is p.false_branch:
-        return p, count
-    return Cond(left, p.condition, right), count
+def _over_budget(node_budget: int) -> NodeBudgetError:
+    return NodeBudgetError(f"normal form exceeds the node budget of {node_budget}")
+
+
+def _reduce_once(p: Term, run: Callable[[bool, Cond, dict], Term], node_budget: int) -> Term:
+    # The paper's reduction of a basic form: rewrite each branch whose
+    # central atom repeats its parent's with the one-sided helper ``run``
+    # (for the branch's side), then reduce the result.  Without recursion,
+    # and once per object (keyed on ``id``), so a shared form costs its
+    # objects plus the conditionals the helper builds; ``memo`` is the
+    # helper's, for this call only.  Each form's size counted as a tree
+    # (constants 1) is worked out once, and the walk raises as soon as one
+    # exceeds ``node_budget``.  A subform that needs no change is
+    # returned as it is.
+    if p.__class__ is not Cond:
+        if node_budget < 1:
+            raise _over_budget(node_budget)
+        return p
+    root = p
+    done: dict[int, Term] = {}  # id of a walked form -> its reduction
+    sizes: dict[int, int] = {}  # id of a reduction -> its size
+    memo: dict = {}
+    stack = [p]
+    while stack:
+        p = stack[-1]
+        name = p.condition.atom.name
+        left = p.true_branch
+        if left.__class__ is Cond:
+            if left.condition.atom.name == name:
+                left = run(True, left, memo)
+            new_left = done.get(id(left))
+            if new_left is None:
+                if left.__class__ is Cond:
+                    stack.append(left)
+                else:  # the helper's run ended at a leaf
+                    new_left = left
+        else:
+            new_left = left
+        right = p.false_branch
+        if right.__class__ is Cond:
+            if right.condition.atom.name == name:
+                right = run(False, right, memo)
+            new_right = done.get(id(right))
+            if new_right is None:
+                if right.__class__ is Cond:
+                    stack.append(right)
+                else:  # the helper's run ended at a leaf
+                    new_right = right
+        else:
+            new_right = right
+        if new_left is None or new_right is None:
+            continue
+        stack.pop()
+        size = sizes.get(id(new_left), 1) + sizes.get(id(new_right), 1) + 1
+        if size > node_budget:
+            raise _over_budget(node_budget)
+        if new_left is p.true_branch and new_right is p.false_branch:
+            form = done[id(p)] = p
+        else:
+            # A form pushed twice keeps the reduction made first.
+            form = done.setdefault(id(p), Cond(new_left, p.condition, new_right))
+        sizes[id(form)] = size
+    return done[id(root)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +165,38 @@ def _reduce(
 # ---------------------------------------------------------------------------
 
 
-def _rp(side: bool, a: Atom, p: Term) -> Term:
-    # Along one side, a repeated atom's branches collapse to two copies of
-    # that side's transformed branch.
-    if isinstance(p, Cond) and p.condition.atom == a:
-        sub = _rp(side, a, p.true_branch if side else p.false_branch)
-        return Cond(sub, p.condition, sub)
-    return p
+def _rp(side: bool, p: Cond, memo: dict) -> Cond:
+    # rp_aux(side, a, p) for p's central atom a: down the run of a along
+    # ``side``, then back up, building Q <| a |> Q at each step.  ``memo``
+    # maps (side, id) of each conditional of a run to its result, and is
+    # also the unique table: (atom name, id(Q)) -> the one Q <| a |> Q.
+    # A conditional whose branches both are already Q is its own result,
+    # so a conditional built here, walked again, gives itself back.
+    out = memo.get((side, id(p)))
+    if out is not None:
+        return out
+    name = p.condition.atom.name
+    run = [p]
+    sub = p.true_branch if side else p.false_branch
+    while sub.__class__ is Cond and sub.condition.atom.name == name:
+        out = memo.get((side, id(sub)))
+        if out is not None:
+            break
+        run.append(sub)
+        sub = sub.true_branch if side else sub.false_branch
+    else:
+        out = sub
+    for q in reversed(run):
+        key = (name, id(out))
+        if q.true_branch is out is q.false_branch:
+            memo.setdefault(key, q)
+            form = q
+        else:
+            form = memo.get(key)
+            if form is None:
+                form = memo[key] = Cond(out, q.condition, out)
+        memo[(side, id(q))] = out = form
+    return out
 
 
 def rp_aux(side: bool, a: Atom, p: Term) -> Term:
@@ -131,11 +204,11 @@ def rp_aux(side: bool, a: Atom, p: Term) -> Term:
     basic form whose central atom repeats ``a`` into the duplicated shape;
     anything else is returned unchanged."""
     _require_basic(p, "rp_aux")
-    return _rp(side, a, p)
+    return _rp(side, p, {}) if p.__class__ is Cond and p.condition.atom == a else p
 
 
 def _rpf(p: Term, node_budget: int) -> Term:
-    return _reduce(p, _rp, node_budget)[0]
+    return _reduce_once(p, _rp, node_budget)
 
 
 def rpf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
@@ -154,21 +227,36 @@ def rpbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _cr(side: bool, a: Atom, p: Term) -> Term:
-    while isinstance(p, Cond) and p.condition.atom == a:
-        p = p.true_branch if side else p.false_branch
-    return p
+def _cr(side: bool, p: Cond, memo: dict) -> Term:
+    # cr_aux(side, a, p) for p's central atom a; ``memo`` maps (side, id)
+    # of each conditional of a run to where the run ends.
+    out = memo.get((side, id(p)))
+    if out is not None:
+        return out
+    name = p.condition.atom.name
+    run = [p]
+    out = p.true_branch if side else p.false_branch
+    while out.__class__ is Cond and out.condition.atom.name == name:
+        end = memo.get((side, id(out)))
+        if end is not None:
+            out = end
+            break
+        run.append(out)
+        out = out.true_branch if side else out.false_branch
+    for q in run:
+        memo[(side, id(q))] = out
+    return out
 
 
 def cr_aux(side: bool, a: Atom, p: Term) -> Term:
     """The one-sided helper of the contractive normalizer: strips repeated
     central occurrences of ``a`` off a basic form."""
     _require_basic(p, "cr_aux")
-    return _cr(side, a, p)
+    return _cr(side, p, {}) if p.__class__ is Cond and p.condition.atom == a else p
 
 
 def _cf(p: Term, node_budget: int) -> Term:
-    return _reduce(p, _cr, node_budget)[0]
+    return _reduce_once(p, _cr, node_budget)
 
 
 def cf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
@@ -211,37 +299,38 @@ def mem_aux(side: bool, a: Atom, p: Term) -> Term:
     return _mem(side, a, p)
 
 
+def _memorize(p: Term, answers: dict[str, bool], spent: list[int], node_budget: int) -> Term:
+    # The memorizing form of the basic form ``p`` below the queries
+    # ``answers`` (atom name -> answer) already answered, which is
+    # restored on return.  Each call returns one node of the form and is
+    # counted in ``spent[0]``, which bounds the form counted as a tree.
+    while p.__class__ is Cond:
+        answer = answers.get(p.condition.atom.name)
+        if answer is None:
+            break
+        p = p.true_branch if answer else p.false_branch
+    spent[0] += 1
+    if spent[0] > node_budget:
+        raise _over_budget(node_budget)
+    if p.__class__ is not Cond:
+        return p
+    name = p.condition.atom.name
+    answers[name] = True
+    left = _memorize(p.true_branch, answers, spent, node_budget)
+    answers[name] = False
+    right = _memorize(p.false_branch, answers, spent, node_budget)
+    del answers[name]
+    if left is p.true_branch and right is p.false_branch:
+        return p
+    return Cond(left, p.condition, right)
+
+
 def _mf(p: Term, node_budget: int) -> Term:
-    # The memorizing form of the basic form ``p``: ``_reduce(p, _mem, ...)``
-    # in one walk that carries the answers given so far and skips a
-    # repeated central atom to its remembered branch.  As in ``_reduce``,
-    # each call of ``walk`` returns one node of the form, and is counted.
-    answers: dict[str, bool] = {}
-    size = 0
-
-    def walk(p: Term) -> Term:
-        nonlocal size
-        while isinstance(p, Cond):
-            answer = answers.get(p.condition.atom.name)
-            if answer is None:
-                break
-            p = p.true_branch if answer else p.false_branch
-        size += 1
-        if size > node_budget:
-            raise NodeBudgetError(f"normal form exceeds the node budget of {node_budget}")
-        if not isinstance(p, Cond):
-            return p
-        name = p.condition.atom.name
-        answers[name] = True
-        left = walk(p.true_branch)
-        answers[name] = False
-        right = walk(p.false_branch)
-        del answers[name]
-        if left is p.true_branch and right is p.false_branch:
-            return p
-        return Cond(left, p.condition, right)
-
-    return walk(p)
+    # The memorizing form of the basic form ``p``: the paper's reduction
+    # with ``_mem`` as the helper, in one walk that carries the answers
+    # given so far and skips a repeated central atom to its remembered
+    # branch.
+    return _memorize(p, {}, [0], node_budget)
 
 
 def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:

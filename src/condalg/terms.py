@@ -489,15 +489,19 @@ def dual(t: Term) -> Term:
 
 
 def alphabet(t: Term) -> AtomSet:
-    """The set of atoms occurring anywhere in a term."""
+    """The set of atoms occurring anywhere in a term.  Visits each
+    conditional object once, however often it is shared."""
     found: set[Atom] = set()
+    seen: set[int] = set()  # ids of the conditionals visited
     stack = [t]
     while stack:
         x = stack.pop()
-        if isinstance(x, AtomTerm):
+        if x.__class__ is Cond:
+            if id(x) not in seen:
+                seen.add(id(x))
+                stack += (x.true_branch, x.condition, x.false_branch)
+        elif x.__class__ is AtomTerm:
             found.add(x.atom)
-        elif isinstance(x, Cond):
-            stack.extend((x.true_branch, x.condition, x.false_branch))
     return frozenset(found)
 
 

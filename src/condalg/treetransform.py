@@ -9,31 +9,74 @@ congruent exactly when their transformed trees are equal:
 * ``sse`` — memorizing over a fixed atom order, which yields the full
   binary tree a truth table describes.
 
-``mem`` (and so ``mse`` and ``sse``) is one walk that carries the answers
-given so far, in time proportional to its output counted as a tree; the
-paper's definition, ``_walk`` with ``mem_tree_aux``, walks the rest of the
-tree again below every node.
+The trees ``se`` builds share subtrees.  ``rp`` and ``cr`` walk each
+object of their input once, so their time is linear in the objects of the
+input plus the shared tree they build, however large either is counted as
+a tree; the paper's definition rewrites each branch with the one-sided
+helper and walks the result as a tree.  ``mem`` (and so ``mse`` and
+``sse``) is one walk that carries the answers given so far, in time
+proportional to its output counted as a tree; the paper's definition,
+with ``mem_tree_aux``, walks the rest of the tree again below every node.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .evaltrees import EvalTree, Leaf, Node, se, tree_children
+from .evaltrees import EvalTree, Node, se, tree_children
 from .normalform import check_alphabet, e_sigma
 from .terms import Atom, Cond, Sigma, TRUE, Term, fold
 
 
-def _walk(x: EvalTree, aux: Callable[[bool, Atom, EvalTree], EvalTree]) -> EvalTree:
-    # Rewrite each subtree with the one-sided helper ``aux`` for the answer
-    # that leads into it, then recurse into the result.
-    if isinstance(x, Leaf):
+def _walk_once(x: EvalTree, run: Callable[[bool, Node, dict], EvalTree]) -> EvalTree:
+    # The paper's walk: rewrite each branch whose root repeats the node's
+    # atom with the one-sided helper ``run`` (for the branch's side), then
+    # transform the result.  Without recursion, and once per object (keyed
+    # on ``id``), so a shared tree costs its objects plus the nodes the
+    # helper builds; ``memo`` is the helper's, for this call only.  A
+    # subtree that needs no change is returned as it is.
+    if x.__class__ is not Node:
         return x
-    left = _walk(aux(True, x.atom, x.left), aux)
-    right = _walk(aux(False, x.atom, x.right), aux)
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
+    root = x
+    done: dict[int, EvalTree] = {}  # id of a walked node -> its transform
+    memo: dict = {}
+    stack = [x]
+    while stack:
+        x = stack[-1]
+        name = x.atom.name
+        left = x.left
+        if left.__class__ is Node:
+            if left.atom.name == name:
+                left = run(True, left, memo)
+            new_left = done.get(id(left))
+            if new_left is None:
+                if left.__class__ is Node:
+                    stack.append(left)
+                else:  # the helper's run ended at a leaf
+                    new_left = left
+        else:
+            new_left = left
+        right = x.right
+        if right.__class__ is Node:
+            if right.atom.name == name:
+                right = run(False, right, memo)
+            new_right = done.get(id(right))
+            if new_right is None:
+                if right.__class__ is Node:
+                    stack.append(right)
+                else:  # the helper's run ended at a leaf
+                    new_right = right
+        else:
+            new_right = right
+        if new_left is None or new_right is None:
+            continue
+        stack.pop()
+        if new_left is x.left and new_right is x.right:
+            done[id(x)] = x
+        else:
+            # A node pushed twice keeps the transform made first.
+            done.setdefault(id(x), Node(x.atom, new_left, new_right))
+    return done[id(root)]
 
 
 # ---------------------------------------------------------------------------
@@ -41,18 +84,49 @@ def _walk(x: EvalTree, aux: Callable[[bool, Atom, EvalTree], EvalTree]) -> EvalT
 # ---------------------------------------------------------------------------
 
 
+def _rp_run(side: bool, x: Node, memo: dict) -> Node:
+    # rp_tree_aux(side, x.atom, x): down the run of x.atom along ``side``,
+    # then back up, building Node(a, sub, sub) at each step.  ``memo``
+    # maps (side, id) of each node of a run to its result, and is also
+    # the unique table: (atom name, id(sub)) -> the one Node(a, sub, sub).
+    # A node whose branches both are already ``sub`` is its own result,
+    # so a node built here, walked again, gives itself back.
+    out = memo.get((side, id(x)))
+    if out is not None:
+        return out
+    name = x.atom.name
+    run = [x]
+    sub = x.left if side else x.right
+    while sub.__class__ is Node and sub.atom.name == name:
+        out = memo.get((side, id(sub)))
+        if out is not None:
+            break
+        run.append(sub)
+        sub = sub.left if side else sub.right
+    else:
+        out = sub
+    for y in reversed(run):
+        key = (name, id(out))
+        if y.left is out is y.right:
+            memo.setdefault(key, y)
+            node = y
+        else:
+            node = memo.get(key)
+            if node is None:
+                node = memo[key] = Node(y.atom, out, out)
+        memo[(side, id(y))] = out = node
+    return out
+
+
 def rp_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``rp``: duplicates the surviving branch when the
     root repeats ``a``; leaves and other roots pass through."""
-    if isinstance(x, Node) and x.atom == a:
-        sub = rp_tree_aux(side, a, x.left if side else x.right)
-        return Node(a, sub, sub)
-    return x
+    return _rp_run(side, x, {}) if x.__class__ is Node and x.atom == a else x
 
 
 def rp(x: EvalTree) -> EvalTree:
     """Repetition-proof transform of an evaluation tree."""
-    return _walk(x, rp_tree_aux)
+    return _walk_once(x, _rp_run)
 
 
 def rpse(t: Term) -> EvalTree:
@@ -65,16 +139,35 @@ def rpse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
+def _cr_run(side: bool, x: Node, memo: dict) -> EvalTree:
+    # cr_tree_aux(side, x.atom, x); ``memo`` maps (side, id) of each node
+    # of a run to where the run ends.
+    out = memo.get((side, id(x)))
+    if out is not None:
+        return out
+    name = x.atom.name
+    run = [x]
+    out = x.left if side else x.right
+    while out.__class__ is Node and out.atom.name == name:
+        end = memo.get((side, id(out)))
+        if end is not None:
+            out = end
+            break
+        run.append(out)
+        out = out.left if side else out.right
+    for y in run:
+        memo[(side, id(y))] = out
+    return out
+
+
 def cr_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
     """One-sided helper of ``cr``: strips repeated root queries of ``a``."""
-    while isinstance(x, Node) and x.atom == a:
-        x = x.left if side else x.right
-    return x
+    return _cr_run(side, x, {}) if x.__class__ is Node and x.atom == a else x
 
 
 def cr(x: EvalTree) -> EvalTree:
     """Contractive transform of an evaluation tree."""
-    return _walk(x, cr_tree_aux)
+    return _walk_once(x, _cr_run)
 
 
 def cse(t: Term) -> EvalTree:
@@ -102,36 +195,38 @@ def mem_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
     return fold(x, tree_children, step)
 
 
+def _memorize(x: EvalTree, answers: dict[str, bool]) -> EvalTree:
+    # mem of ``x`` below the queries ``answers`` (atom name -> answer)
+    # already answered; ``answers`` is restored on return.
+    while x.__class__ is Node:
+        answer = answers.get(x.atom.name)
+        if answer is None:
+            break
+        x = x.left if answer else x.right
+    if x.__class__ is not Node:
+        return x
+    name = x.atom.name
+    answers[name] = True
+    left = _memorize(x.left, answers)
+    answers[name] = False
+    right = _memorize(x.right, answers)
+    del answers[name]
+    if left is x.left and right is x.right:
+        return x
+    return Node(x.atom, left, right)
+
+
 def mem(x: EvalTree) -> EvalTree:
     """Memorizing transform of an evaluation tree.
 
-    Equal to ``_walk(x, mem_tree_aux)``, the paper's definition, but built
-    in one walk that carries the answers given so far: a query already
-    answered is skipped to the remembered branch.  Time is proportional to
-    the output counted as a tree (plus the skipped queries), and subtrees
-    that need no change are returned as they are.
+    Equal to the paper's definition, which rewrites each branch with
+    ``mem_tree_aux`` and transforms the result, but built in one walk that
+    carries the answers given so far: a query already answered is skipped
+    to the remembered branch.  Time is proportional to the output counted
+    as a tree (plus the skipped queries), and subtrees that need no
+    change are returned as they are.
     """
-    answers: dict[str, bool] = {}
-
-    def walk(x: EvalTree) -> EvalTree:
-        while isinstance(x, Node):
-            answer = answers.get(x.atom.name)
-            if answer is None:
-                break
-            x = x.left if answer else x.right
-        if isinstance(x, Leaf):
-            return x
-        name = x.atom.name
-        answers[name] = True
-        left = walk(x.left)
-        answers[name] = False
-        right = walk(x.right)
-        del answers[name]
-        if left is x.left and right is x.right:
-            return x
-        return Node(x.atom, left, right)
-
-    return walk(x)
+    return _memorize(x, {})
 
 
 def mse(t: Term) -> EvalTree:

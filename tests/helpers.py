@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 
 import condalg as c
-from condalg import normalform, treetransform
+from condalg import normalform
 
 ATOM_A = c.Atom("a")
 ATOM_B = c.Atom("b")
@@ -148,16 +148,92 @@ def paper_se(t: c.Term) -> c.EvalTree:
     )
 
 
+def paper_walk(x: c.EvalTree, aux) -> c.EvalTree:
+    """The paper's tree transform: each branch rewritten by the one-sided
+    helper ``aux(side, atom, branch)`` for its node's atom, then
+    transformed in turn.  Walks a shared tree as a tree."""
+    if isinstance(x, c.Leaf):
+        return x
+    left = paper_walk(aux(True, x.atom, x.left), aux)
+    right = paper_walk(aux(False, x.atom, x.right), aux)
+    if left is x.left and right is x.right:
+        return x
+    return c.Node(x.atom, left, right)
+
+
+def paper_reduce(p: c.Term, aux) -> c.Term:
+    """The paper's normalizer over basic forms: each branch rewritten by
+    ``aux(side, central atom, branch)``, then reduced in turn."""
+    if not isinstance(p, c.Cond):
+        return p
+    a = p.condition.atom
+    left = paper_reduce(aux(True, a, p.true_branch), aux)
+    right = paper_reduce(aux(False, a, p.false_branch), aux)
+    if left is p.true_branch and right is p.false_branch:
+        return p
+    return c.Cond(left, p.condition, right)
+
+
+def paper_rp_tree_aux(side: bool, a: c.Atom, x: c.EvalTree) -> c.EvalTree:
+    """``rp_tree_aux`` written recursively, as the paper defines it."""
+    if isinstance(x, c.Node) and x.atom == a:
+        sub = paper_rp_tree_aux(side, a, x.left if side else x.right)
+        return c.Node(a, sub, sub)
+    return x
+
+
+def paper_cr_tree_aux(side: bool, a: c.Atom, x: c.EvalTree) -> c.EvalTree:
+    """``cr_tree_aux`` written recursively, as the paper defines it."""
+    if isinstance(x, c.Node) and x.atom == a:
+        return paper_cr_tree_aux(side, a, x.left if side else x.right)
+    return x
+
+
+def paper_rp_aux(side: bool, a: c.Atom, p: c.Term) -> c.Term:
+    """``rp_aux`` written recursively, as the paper defines it."""
+    if isinstance(p, c.Cond) and p.condition.atom == a:
+        sub = paper_rp_aux(side, a, p.true_branch if side else p.false_branch)
+        return c.Cond(sub, p.condition, sub)
+    return p
+
+
+def paper_cr_aux(side: bool, a: c.Atom, p: c.Term) -> c.Term:
+    """``cr_aux`` written recursively, as the paper defines it."""
+    if isinstance(p, c.Cond) and p.condition.atom == a:
+        return paper_cr_aux(side, a, p.true_branch if side else p.false_branch)
+    return p
+
+
+def paper_rp(x: c.EvalTree) -> c.EvalTree:
+    """``rp`` as the paper defines it."""
+    return paper_walk(x, paper_rp_tree_aux)
+
+
+def paper_cr(x: c.EvalTree) -> c.EvalTree:
+    """``cr`` as the paper defines it."""
+    return paper_walk(x, paper_cr_tree_aux)
+
+
 def paper_mem(x: c.EvalTree) -> c.EvalTree:
     """``mem`` as the paper defines it: each branch resolved against its
     node's answer by ``mem_tree_aux``, then transformed in turn."""
-    return treetransform._walk(x, c.mem_tree_aux)
+    return paper_walk(x, c.mem_tree_aux)
+
+
+def paper_rpf(p: c.Term) -> c.Term:
+    """``rpf`` as the paper defines it, over basic forms."""
+    return paper_reduce(p, paper_rp_aux)
+
+
+def paper_cf(p: c.Term) -> c.Term:
+    """``cf`` as the paper defines it, over basic forms."""
+    return paper_reduce(p, paper_cr_aux)
 
 
 def paper_mf(p: c.Term) -> c.Term:
     """``mf`` as the paper defines it, over basic forms: each branch
     resolved against the central atom's answer, then reduced in turn."""
-    return normalform._reduce(p, normalform._mem, c.DEFAULT_NODE_BUDGET)[0]
+    return paper_reduce(p, normalform._mem)
 
 
 def static_prefix(sigma: c.Sigma, t: c.Term) -> c.Term:

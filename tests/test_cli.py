@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import condalg as c
 from condalg import cli
 from condalg.cli import main
+from helpers import condition_nested, paper_rp, paper_se
 
 
 def run(capsys, *argv):
@@ -415,6 +419,37 @@ def test_equiv_compares_shared_trees_quickly(capsys):
     assert (code, out) == (0, "equivalent\n")
     code, out, _ = run(capsys, "normalize", "--system", "cr", text)
     assert (code, out) == (0, "T <| a |> F\n")
+
+
+def condalg_process(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a fresh interpreter, killed after 10 s, so that a
+    command that hangs fails its test instead of stalling the suite; with
+    the wall time it took."""
+    src = str(Path(c.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "condalg.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    return done, time.perf_counter() - start
+
+
+def test_rp_decides_and_normalizes_shared_terms_quickly():
+    # t_6 is 4.4 KB of text; its rp tree and rp form have about 2^65
+    # nodes counted as a tree, over a few hundred objects.
+    t6 = c.render_term(condition_nested(6))
+    done, seconds = condalg_process("equiv", "--system", "rp", t6, t6)
+    assert (done.returncode, done.stdout) == (0, "equivalent\n")
+    assert seconds < 1.0
+    done, seconds = condalg_process("normalize", "--system", "rp", t6)
+    assert done.returncode == 3
+    assert "exceeds the node budget" in done.stderr
+    assert seconds < 1.0
+    # Printing a tree writes it in full, so t_3's (511 nodes) stands in.
+    t3 = condition_nested(3)
+    done, _ = condalg_process("tree", "--semantics", "rpse", c.render_term(t3))
+    assert (done.returncode, done.stdout) == (0, c.render_tree(paper_rp(paper_se(t3))) + "\n")
 
 
 def test_main_reuses_one_parser(capsys):

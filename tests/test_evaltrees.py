@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -277,3 +278,32 @@ def test_evaluations_consistent_and_replayable_exhaustively():
             oracle = ScriptedOracle(ev.path)
             assert c.evaluate_with_oracle(t, oracle) == ev.result
             assert oracle.exhausted()
+
+
+def test_evaluations_and_the_oracle_run_deep_inputs():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        # 2,000 deep: the evaluations' paths add up to n^2/2 steps.
+        chain = LT
+        for _ in range(2_000):
+            chain = node(ATOM_A, chain, LF)
+        evals = c.evaluations(chain)
+        assert [len(ev.path) for ev in evals] == [2_000] + list(range(2_000, 0, -1))
+        assert evals[0].path == ((ATOM_A, True),) * 2_000 and evals[0].result
+        assert evals[-1].path == ((ATOM_A, False),) and not evals[-1].result
+        # 5,000 conditions deep in the condition position: a is asked
+        # first, then b once per level on the way out.
+        t = TA
+        for _ in range(5_000):
+            t = c.Cond(TB, t, F)
+        queried = []
+
+        def oracle(atom):
+            queried.append(atom)
+            return True
+
+        assert c.evaluate_with_oracle(t, oracle) is True
+        assert queried == [ATOM_A] + [ATOM_B] * 5_000
+    finally:
+        sys.setrecursionlimit(before)

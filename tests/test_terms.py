@@ -203,6 +203,17 @@ def test_is_basic_form_walks_shared_and_deep_terms():
     assert not c.is_basic_form(c.Cond(chain, TA, TB))
 
 
+def test_alphabet_visits_each_shared_conditional_once():
+    # tree_to_term(se(t_6)) has about 2^65 nodes counted as a tree, but a
+    # few hundred objects; truth_table checks its alphabet first.
+    t = c.tree_to_term(c.se(condition_nested(6)))
+    start = time.perf_counter()
+    assert c.alphabet(t) == {ATOM_A}
+    assert c.truth_table(t, c.Sigma.of("a")).rows == (((True,), True), ((False,), False))
+    assert c.alphabet(condition_nested(60, c.Cond(TB, TA, F))) == {ATOM_A, ATOM_B}
+    assert time.perf_counter() - start < 1.0
+
+
 def test_is_rp_basic_form_examples():
     assert c.is_rp_basic_form(c.Cond(F, TA, c.Cond(F, TA, F)))
     assert not c.is_rp_basic_form(c.Cond(F, TA, c.Cond(T, TA, F)))
