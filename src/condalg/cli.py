@@ -17,12 +17,14 @@ import sys
 from collections import Counter
 
 from .congruence import (
+    DEFAULT_INSTANCE_BUDGET,
     KIND_LEVEL,
     SYSTEM_LEVEL,
     SYSTEMS,
     TREE_ROUTES,
     CongruenceKind,
     check_axioms,
+    check_instance_budget,
     equivalent,
     normal_form,
     render_truth_table,
@@ -34,7 +36,14 @@ from .congruence import (
 from .errors import BudgetError, CondAlgError
 from .evaltrees import evaluate_with_oracle, render_tree
 from .shortcircuit import desugar, make_register_oracle, parse_register_state, parse_sc
-from .terms import Atom, Sigma, enumerate_basic_forms, parse_term, render_term
+from .terms import (
+    Atom,
+    Sigma,
+    count_basic_forms,
+    enumerate_basic_forms,
+    parse_term,
+    render_term,
+)
 
 # ``tree --semantics`` names the tree function itself (se, rpse, ...).
 _SEMANTICS_TAG = {route.__name__: tag for tag, route in TREE_ROUTES.items()}
@@ -198,6 +207,11 @@ def _cmd_desugar(args: argparse.Namespace) -> int:
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
     if args.pool_depth < 0:
         raise UsageError("--pool-depth must be nonnegative")
+    # The pool squares in size at each depth: check the budget on its size
+    # before building it.  Its alphabet is empty at depth 0.
+    size = count_basic_forms(len(_AXIOM_ALPHABET), args.pool_depth, DEFAULT_INSTANCE_BUDGET)
+    atom_count = len(_AXIOM_ALPHABET) if args.pool_depth else 0
+    check_instance_budget(args.system, size, atom_count, DEFAULT_INSTANCE_BUDGET)
     pool = enumerate_basic_forms(_AXIOM_ALPHABET, args.pool_depth)
     tag = _TAG_AT_LEVEL[SYSTEM_LEVEL[args.system]]
     kind = CongruenceKind(tag, Sigma(_AXIOM_ALPHABET) if tag == "static" else None)

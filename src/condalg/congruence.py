@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import CondAlgError, InstanceBudgetError
-from .evaltrees import EvalTree, same_tree, se
+from .evaltrees import LEAF_F, LEAF_T, EvalTree, Node, same_tree, se
 from .normalform import bf, cbf, check_alphabet, e_sigma, mbf, rpbf, sbf
 from .terms import (
     Atom,
@@ -28,13 +28,14 @@ from .terms import (
     Sigma,
     TRUE,
     Term,
+    TrueConst,
     alphabet,
     fold,
     format_atom,
     iter_atoms_sorted,
     term_children,
 )
-from .treetransform import cse, mse, rpse, sse
+from .treetransform import cr, cse, mem, mse, rp, rpse, sse
 
 MAX_SIGMA_FOR_TABLES = 16
 
@@ -273,7 +274,8 @@ def static_matches_tautology(p: Term, q: Term, sigma: Sigma) -> bool:
 class AxiomScheme:
     """An equation scheme over term variables, optionally parameterized by
     an atom (the scheme is instantiated at every atom of the pool) or by
-    the evaluation order of the congruence being checked."""
+    the evaluation order of the congruence being checked (``build`` then
+    takes ``e_sigma`` of that order first)."""
 
     name: str
     variables: tuple[str, ...]
@@ -369,8 +371,8 @@ def _both_branches(x, y):
     return x, Cond(x, y, x)
 
 
-def _static_prefix(sigma, x):
-    return x, Cond(TRUE, e_sigma(sigma), x)
+def _static_prefix(order, x):
+    return x, Cond(TRUE, order, x)
 
 
 AXIOMS: dict[str, AxiomScheme] = {
@@ -429,6 +431,108 @@ class AxiomInstanceReport:
         return dict(self.substitution)
 
 
+def check_instance_budget(
+    system: str, pool_size: int | None, atom_count: int, instance_budget: int
+) -> None:
+    """Raise InstanceBudgetError naming the first law of ``system`` with
+    more than ``instance_budget`` instances over a pool of ``pool_size``
+    terms whose alphabet has ``atom_count`` atoms.  A ``pool_size`` of
+    None stands for a pool of more than ``instance_budget`` terms, which
+    every law exceeds: each has at least one variable."""
+    for name in SYSTEMS[system]:
+        if pool_size is None:
+            raise InstanceBudgetError(
+                f"axiom {name}: a pool of more than {instance_budget} terms "
+                f"exceeds the budget of {instance_budget} instances"
+            )
+        scheme = AXIOMS[name]
+        count = pool_size ** scheme.arity()
+        if scheme.needs_atom:
+            count *= max(atom_count, 1)
+        if count > instance_budget:
+            raise InstanceBudgetError(
+                f"axiom {name}: {count} instances exceed the budget of {instance_budget}"
+            )
+
+
+def _store_se(
+    t: Term, kt: EvalTree, kf: EvalTree, nodes: dict, built: dict, pool_conds: set
+) -> EvalTree:
+    # ``_se(t, kt, kf)`` in a ``_tree_store``: hash-consed in ``nodes``,
+    # and memoized in ``built`` for the conditionals in ``pool_conds``.
+    # Any conditional is looked up in ``built``: the pool's, the only ones
+    # stored, stay alive for the call, so no other object has their
+    # ``id``.  A module function, not a closure: a closure that calls
+    # itself is a reference cycle, which would keep the store's tables
+    # after the call until the garbage collector runs.
+    cls = t.__class__
+    if cls is Cond:
+        key = (id(t), id(kt), id(kf))
+        x = built.get(key)
+        if x is None:
+            left = _store_se(t.true_branch, kt, kf, nodes, built, pool_conds)
+            right = _store_se(t.false_branch, kt, kf, nodes, built, pool_conds)
+            x = _store_se(t.condition, left, right, nodes, built, pool_conds)
+            if key[0] in pool_conds:
+                built[key] = x
+        return x
+    if cls is AtomTerm:
+        key = (t.atom.name, id(kt), id(kf))
+        x = nodes.get(key)
+        if x is None:
+            x = nodes[key] = Node(t.atom, kt, kf)
+        return x
+    return kt if cls is TrueConst else kf
+
+
+# The transforms ``_tree_store`` applies, looked up by tag when a store is
+# made; a dict of the module's functions, so rebinding one reaches it too.
+_STORE_TRANSFORMS = {"rp": rp, "cr": cr, "mem": mem}
+
+
+def _tree_store(
+    pool: tuple[Term, ...], kind: CongruenceKind, order: Term
+) -> Callable[[Term], EvalTree]:
+    # The tree whose equality decides ``kind``, for every instance side of
+    # one check_axioms call, built from tables that live as long as the
+    # call: a unique table, so that equal trees built here are one object;
+    # a memo of ``se`` under continuations for the pool's conditionals; and
+    # the transform of each distinct tree.  Only the pool's objects are
+    # memoized: the conditionals a scheme builds are dropped after their
+    # instance, and a later object may reuse their ``id``.  ``order`` is
+    # e_sigma of a static kind's order.
+    nodes: dict[tuple[str, int, int], Node] = {}  # (atom name, id(kt), id(kf))
+    built: dict[tuple[int, int, int], EvalTree] = {}  # (id(t), id(kt), id(kf))
+    transformed: dict[int, EvalTree] = {}  # id of a tree built here
+    pool_conds: set[int] = set()
+    pending = list(pool)
+    while pending:
+        t = pending.pop()
+        if t.__class__ is Cond and id(t) not in pool_conds:
+            pool_conds.add(id(t))
+            pending += (t.true_branch, t.condition, t.false_branch)
+
+    if kind.tag == "free":
+        return lambda t: _store_se(t, LEAF_T, LEAF_F, nodes, built, pool_conds)
+    if kind.sigma is not None:
+        # sse(sigma, t) is mem(se(T <| e_sigma |> t)), and the tree of
+        # T <| e |> t is e's tree continued by T and se(t).
+        def transform(x: EvalTree) -> EvalTree:
+            return mem(_store_se(order, LEAF_T, x, nodes, built, pool_conds))
+
+    else:
+        transform = _STORE_TRANSFORMS[kind.tag]
+
+    def tree(t: Term) -> EvalTree:
+        x = _store_se(t, LEAF_T, LEAF_F, nodes, built, pool_conds)
+        out = transformed.get(id(x))
+        if out is None:
+            out = transformed[id(x)] = transform(x)
+        return out
+
+    return tree
+
+
 def check_axioms(
     system: str,
     pool: Sequence[Term],
@@ -440,36 +544,45 @@ def check_axioms(
     ``pool`` (full cross-product; atom schemes additionally range over the
     pool's alphabet) and record whether each instance holds under ``kind``.
 
+    Decides each instance as ``equivalent`` does, by comparing transformed
+    evaluation trees, but every instance of the call shares one store
+    private to the call: equal trees built in it are one object, each
+    pool term's tree under given continuations is built once, and each
+    distinct tree is transformed once.  The pool's alphabet is checked
+    against a static kind's order once, not per instance.
+
     Raises InstanceBudgetError naming the first law whose cross-product
-    would exceed ``instance_budget``.
+    would exceed ``instance_budget``, before any instance is checked.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown axiom system: {system!r}")
     if not pool:
         raise ValueError("substitution pool must be nonempty")
+    pool = tuple(pool)
     pool_atoms = iter_atoms_sorted(
         {a for term in pool for a in alphabet(term)}
     )
-    sigma = kind.sigma if kind.sigma is not None else Sigma(tuple(pool_atoms))
+    check_instance_budget(system, len(pool), len(pool_atoms), instance_budget)
+    if kind.sigma is None:
+        sigma = Sigma(tuple(pool_atoms))
+    else:
+        sigma = kind.sigma
+        for term in pool:
+            check_alphabet(term, sigma, "check_axioms")
+    order = e_sigma(sigma)
+    tree = _tree_store(pool, kind, order)
 
     reports: list[AxiomInstanceReport] = []
     for name in SYSTEMS[system]:
         scheme = AXIOMS[name]
-        count = len(pool) ** scheme.arity()
-        if scheme.needs_atom:
-            count *= max(len(pool_atoms), 1)
-        if count > instance_budget:
-            raise InstanceBudgetError(
-                f"axiom {name}: {count} instances exceed the budget of {instance_budget}"
-            )
         atom_choices: list[tuple] = [()]
         if scheme.needs_atom:
             atom_choices = [(AtomTerm(a),) for a in pool_atoms]
-        sigma_prefix: tuple = (sigma,) if scheme.needs_sigma else ()
+        order_prefix: tuple = (order,) if scheme.needs_sigma else ()
         for atom_args in atom_choices:
             for values in itertools.product(pool, repeat=scheme.arity()):
-                lhs, rhs = scheme.build(*sigma_prefix, *atom_args, *values)
-                holds = equivalent(lhs, rhs, kind)
+                lhs, rhs = scheme.build(*order_prefix, *atom_args, *values)
+                holds = same_tree(tree(lhs), tree(rhs))
                 substitution = tuple(zip(scheme.variables, values))
                 if atom_args:
                     substitution = (("a", atom_args[0]),) + substitution

@@ -639,6 +639,20 @@ def enumerate_basic_forms(
     return sorted(layer, key=lambda term: (depth(term), render_term(term)))
 
 
+def count_basic_forms(atom_count: int, max_depth: int, limit: int) -> int | None:
+    """How many terms ``enumerate_basic_forms`` lists for ``atom_count``
+    atoms and ``max_depth``, without building them: ``n_0 = 2`` and
+    ``n_{d+1} = 2 + atom_count * n_d ** 2``.  None once the count passes
+    ``limit``: it squares at each depth, so an exact count for a large
+    depth would not finish."""
+    count = 2
+    for _ in range(max_depth if atom_count else 0):
+        count = 2 + atom_count * count * count
+        if count > limit:
+            return None
+    return count
+
+
 def iter_atoms_sorted(atom_set: Iterable[Atom]) -> list[Atom]:
     """Atoms in deterministic (name) order."""
     return sorted(atom_set, key=lambda a: a.name)

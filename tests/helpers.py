@@ -242,6 +242,30 @@ def static_prefix(sigma: c.Sigma, t: c.Term) -> c.Term:
     return c.Cond(c.TRUE, c.e_sigma(sigma), t)
 
 
+def paper_check_axioms(
+    system: str, pool: tuple[c.Term, ...], kind: c.CongruenceKind
+) -> list[c.AxiomInstanceReport]:
+    """``check_axioms`` as one ``equivalent`` call per instance, each
+    building its trees afresh, in the same order and with the same
+    substitutions; no instance budget."""
+    pool_atoms = sorted({a for t in pool for a in c.alphabet(t)}, key=lambda a: a.name)
+    sigma = kind.sigma if kind.sigma is not None else c.Sigma(tuple(pool_atoms))
+    reports = []
+    for name in c.SYSTEMS[system]:
+        scheme = c.AXIOMS[name]
+        atom_choices = [(c.AtomTerm(a),) for a in pool_atoms] if scheme.needs_atom else [()]
+        for atom_args in atom_choices:
+            for values in itertools.product(pool, repeat=scheme.arity()):
+                order = (c.e_sigma(sigma),) if scheme.needs_sigma else ()
+                lhs, rhs = scheme.build(*order, *atom_args, *values)
+                substitution = tuple(zip(scheme.variables, values))
+                if atom_args:
+                    substitution = (("a", atom_args[0]),) + substitution
+                holds = c.equivalent(lhs, rhs, kind)
+                reports.append(c.AxiomInstanceReport(name, substitution, holds))
+    return reports
+
+
 def tree_size(x: c.EvalTree) -> int:
     """Nodes plus leaves of an evaluation tree, counted as a tree."""
     if isinstance(x, c.Leaf):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -239,6 +240,18 @@ def test_check_axioms_instance_budget(capsys):
     assert "all hold" in out
 
 
+def test_check_axioms_refuses_a_deep_pool_before_building_it():
+    # Depth 4 has about 1.3e10 basic forms; depth 1000's count would not
+    # fit in memory.  The process may use 512 MB.
+    for depth in ("4", "1000"):
+        done, seconds = condalg_process(
+            "check-axioms", "--system", "CPrp", "--pool-depth", depth, memory_mb=512
+        )
+        assert done.returncode == 3
+        assert "CPrp1" in done.stderr and "budget" in done.stderr
+        assert seconds < 1.0
+
+
 def test_witnesses(capsys):
     code, out, _ = run(capsys, "witnesses")
     assert code == 0
@@ -421,16 +434,24 @@ def test_equiv_compares_shared_trees_quickly(capsys):
     assert (code, out) == (0, "T <| a |> F\n")
 
 
-def condalg_process(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
+def condalg_process(
+    *argv: str, memory_mb: int | None = None
+) -> tuple[subprocess.CompletedProcess, float]:
     """Run the CLI in a fresh interpreter, killed after 10 s, so that a
     command that hangs fails its test instead of stalling the suite; with
-    the wall time it took."""
+    the wall time it took.  ``memory_mb`` caps its address space."""
     src = str(Path(c.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
+
+    def cap_memory() -> None:
+        limit = memory_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "condalg.cli", *argv],
         capture_output=True, text=True, timeout=10, env=env,
+        preexec_fn=cap_memory if memory_mb is not None else None,
     )
     return done, time.perf_counter() - start
 
