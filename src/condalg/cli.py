@@ -267,7 +267,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # The parsers and transforms recurse once per nesting level.
+    # parse_sc, desugar and the transforms recurse once per nesting
+    # level; parse_term allows half this limit.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 20_000))
     try:

@@ -39,7 +39,9 @@ class NodeBudgetError(BudgetError):
 
 
 class NestingDepthError(BudgetError):
-    """Input nested too deeply for the recursive parser."""
+    """Input nested deeper than the parsers allow: half the recursion
+    limit for ``parse_term``, what the recursion limit lets the
+    recursive-descent parsers descend for the others."""
 
 
 class InstanceBudgetError(BudgetError):

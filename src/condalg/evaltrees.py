@@ -42,7 +42,7 @@ class Leaf:
         return "T" if self.value else "F"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
     """Post-conditional composition: left branch on true, right on false."""
 
@@ -50,8 +50,19 @@ class Node:
     left: "EvalTree"
     right: "EvalTree"
 
+    # Filled as terms.Cond is: through the slots' own setters.
+    def __init__(self, atom: Atom, left: "EvalTree", right: "EvalTree"):
+        _set_atom(self, atom)
+        _set_left(self, left)
+        _set_right(self, right)
+
     def __repr__(self) -> str:
         return render_tree(self)
+
+
+_set_atom = Node.atom.__set__
+_set_left = Node.left.__set__
+_set_right = Node.right.__set__
 
 
 EvalTree = Union[Leaf, Node]

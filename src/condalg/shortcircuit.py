@@ -128,9 +128,9 @@ def _sc_unary(cur: TokenCursor) -> SclExpr:
 
 def parse_sc(text: str) -> SclExpr:
     """Parse a short-circuit expression (``!``, ``&&``, ``||``,
-    ``true``/``false``, atoms, parentheses).  Raises NestingDepthError,
-    as ``parse_term`` does, when the nesting exceeds what the
-    interpreter's recursion limit lets the parser descend."""
+    ``true``/``false``, atoms, parentheses).  Raises NestingDepthError
+    when the nesting exceeds what the interpreter's recursion limit lets
+    the parser descend."""
     cur = TokenCursor(_SC_TOKENS, text, TermSyntaxError)
     try:
         expr = _sc_or(cur)
@@ -172,23 +172,29 @@ def render_sc(e: SclExpr) -> str:
     return f"{left} || {right}"
 
 
+def _desugar(e: SclExpr, atoms: dict[str, AtomTerm]) -> Term:
+    if isinstance(e, SclAnd):
+        return Cond(_desugar(e.right, atoms), _desugar(e.left, atoms), FALSE)
+    if isinstance(e, SclOr):
+        return Cond(TRUE, _desugar(e.left, atoms), _desugar(e.right, atoms))
+    if isinstance(e, SclAtom):
+        term = atoms.get(e.atom.name)
+        if term is None:
+            term = atoms[e.atom.name] = AtomTerm(e.atom)
+        return term
+    if isinstance(e, SclNot):
+        return Cond(FALSE, _desugar(e.operand, atoms), TRUE)
+    return TRUE if isinstance(e, SclTrue) else FALSE
+
+
 def desugar(e: SclExpr) -> Term:
-    """Rewrite the connectives into conditionals.
+    """Rewrite the connectives into conditionals, with one ``AtomTerm``
+    per atom name, as ``parse_term`` builds them.
 
     ``p && q`` becomes ``q <| p |> F`` and ``!p`` becomes ``F <| p |> T``;
     ``p || q`` becomes ``T <| p |> q``, the dual of ``&&``.
     """
-    if isinstance(e, SclTrue):
-        return TRUE
-    if isinstance(e, SclFalse):
-        return FALSE
-    if isinstance(e, SclAtom):
-        return AtomTerm(e.atom)
-    if isinstance(e, SclNot):
-        return Cond(FALSE, desugar(e.operand), TRUE)
-    if isinstance(e, SclAnd):
-        return Cond(desugar(e.right), desugar(e.left), FALSE)
-    return Cond(TRUE, desugar(e.left), desugar(e.right))
+    return _desugar(e, {})
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +239,9 @@ def _eval_primary(cur: TokenCursor, state: Mapping[str, int]) -> int:
 
 def _eval_register_expr(text: str, state: Mapping[str, int]) -> int:
     """Evaluate a register expression: integers, register names, binary
-    + and -, parentheses.  Raises NestingDepthError, as ``parse_term``
-    does, when the parentheses nest deeper than the interpreter's
-    recursion limit lets the evaluator descend."""
+    + and -, parentheses.  Raises NestingDepthError when the parentheses
+    nest deeper than the interpreter's recursion limit lets the evaluator
+    descend."""
     cur = TokenCursor(_EXPR_TOKENS, text, _expr_error)
     try:
         value = _eval_sum(cur, state)

@@ -6,17 +6,21 @@ condition).  Terms are immutable and compared structurally.
 
 Reading and writing text cost what they read and write.  ``TokenCursor``
 splits a whole text with one regex call and serves the term,
-short-circuit and register-expression grammars.  ``render_shared``, the
-writer behind ``render_term`` and the ascii ``render_tree``, writes a DAG
-whose objects are shared (as the normalizers and ``se`` build them)
-without walking a shared object twice: it builds the text of each object
-reached from more than one parent once and reuses it, and keeps no other
-object's text.
+short-circuit and register-expression grammars.  ``parse_term`` reads
+the term grammar's tokens in one loop with explicit stacks, not by
+recursive descent; it still refuses nesting deeper than half the
+recursion limit, because ``se`` and ``bf`` recurse once per level on
+what it returns.  ``render_shared``, the writer behind ``render_term``
+and the ascii ``render_tree``, writes a DAG whose objects are shared (as
+the normalizers and ``se`` build them) without walking a shared object
+twice: it builds the text of each object reached from more than one
+parent once and reuses it, and keeps no other object's text.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -127,7 +131,7 @@ class AtomTerm:
         return format_atom(self.atom)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cond:
     """The conditional ``true_branch <| condition |> false_branch``."""
 
@@ -135,8 +139,21 @@ class Cond:
     condition: "Term"
     false_branch: "Term"
 
+    # Every layer builds conditionals, so this fills the slots directly,
+    # where the generated frozen __init__ calls object.__setattr__.
+    def __init__(self, true_branch: "Term", condition: "Term", false_branch: "Term"):
+        _set_true_branch(self, true_branch)
+        _set_condition(self, condition)
+        _set_false_branch(self, false_branch)
+
     def __repr__(self) -> str:
         return render_term(self)
+
+
+# The slots' own setters, which assignment (frozen) does not reach.
+_set_true_branch = Cond.true_branch.__set__
+_set_condition = Cond.condition.__set__
+_set_false_branch = Cond.false_branch.__set__
 
 
 Term = Union[TrueConst, FalseConst, AtomTerm, Cond]
@@ -253,57 +270,100 @@ class TokenCursor:
 # ---------------------------------------------------------------------------
 
 # An empty or unterminated quote matches no token, so it is reported as a
-# stray quote character.
-_TERM_TOKENS = Lexicon(r"""T | F | \( | \) | <\| | \|> | "[^"]+" | [a-z][a-z0-9_]*""")
+# stray quote character.  The commonest tokens come first: the regex tries
+# the alternatives in order at every token.
+_TERM_TOKENS = Lexicon(r"""<\| | \|> | [a-z][a-z0-9_]* | "[^"]+" | T | F | \( | \)""")
 
-_CONSTANTS = {"T": TRUE, "F": FALSE}
+# The separator after each operand slot (true branch, condition, false
+# branch) of a parenthesized conditional, and of the top-level one, whose
+# false branch ends the input ("" matches no token).
+_INNER = ("<|", "|>", ")")
+_OUTER = ("<|", "|>", "")
 
 
-def _operand(cur: TokenCursor, atoms: dict[str, AtomTerm]) -> Term:
-    token = cur.take()
-    if token == "(":
-        inner = _cond(cur, _operand(cur, atoms), atoms)
-        cur.expect(")")
-        return inner
-    term = _CONSTANTS.get(token) or atoms.get(token)
-    if term is None:
+def _leaves(tokens: Iterable[str]) -> dict[str, Term]:
+    """The term of each constant and atom token: T, F and one
+    ``AtomTerm`` per atom name, which its quoted and bare spellings
+    share."""
+    leaves: dict[str, Term] = {"T": TRUE, "F": FALSE}
+    atoms: dict[str, AtomTerm] = {}
+    for token in tokens:
         if token[0] == '"':
             name = token[1:-1]
-        elif token[0].isalpha():
+        elif "a" <= token[0] <= "z":
             name = token
         else:
-            raise cur.fail(f"unexpected token {token!r}")
-        # Quoted and bare spellings of one name share its AtomTerm.
-        term = atoms[token] = atoms.setdefault(name, AtomTerm(Atom(name)))
-    return term
+            continue
+        term = atoms.get(name)
+        if term is None:
+            term = atoms[name] = AtomTerm(Atom(name))
+        leaves[token] = term
+    return leaves
 
 
-def _cond(cur: TokenCursor, left: Term, atoms: dict[str, AtomTerm]) -> Cond:
-    cur.expect("<|")
-    mid = _operand(cur, atoms)
-    cur.expect("|>")
-    return Cond(left, mid, _operand(cur, atoms))
+def _misplaced(token: str, wanted: str | None, top: bool) -> str:
+    if wanted is None:
+        return f"unexpected token {token!r}"
+    if top and wanted != "|>":
+        return f"trailing input {token!r}"
+    return f"expected {wanted!r}, found {token!r}"
 
 
 def parse_term(text: str) -> Term:
     """Parse the canonical text form of a term.
 
     Takes time linear in the text: one regex call splits it into tokens
-    and a recursive descent reads them, building one ``AtomTerm`` per atom
-    name.  Raises TermSyntaxError (with a character position) on malformed
-    or empty input, and NestingDepthError when the nesting exceeds what
-    the interpreter's recursion limit lets the parser descend.
+    and one loop reads them, keeping the operands read so far on one
+    stack and the slots of the open parentheses on another, and building
+    one ``AtomTerm`` per atom name.  It does not recurse, yet nesting
+    deeper than half the interpreter's recursion limit raises
+    NestingDepthError, because ``se`` and ``bf`` recurse once per level
+    on what it returns.  Raises TermSyntaxError (with a character
+    position) on malformed or empty input.
     """
     cur = TokenCursor(_TERM_TOKENS, text, TermSyntaxError)
-    atoms: dict[str, AtomTerm] = {}
-    try:
-        term = _operand(cur, atoms)
-        if cur.peek() == "<|":
-            term = _cond(cur, term, atoms)
-    except RecursionError:
-        raise NestingDepthError("input nested too deeply") from None
-    cur.finish()
-    return term
+    tokens = cur.tokens
+    leaves = _leaves(set(tokens))
+    deepest = sys.getrecursionlimit() // 2
+    operands: list[Term] = []
+    push = operands.append
+    slots: list[int] = []  # the slot each open parenthesis fills, innermost last
+    slot = 0  # the slot of the operand being read or read last
+    separators = _OUTER
+    wanted: str | None = None  # the separator wanted next; None for an operand
+    for k, token in enumerate(tokens):
+        if wanted is None:
+            leaf = leaves.get(token)
+            if leaf is not None:
+                push(leaf)
+                wanted = separators[slot]
+            elif token == "(":
+                slots.append(slot)
+                if len(slots) > deepest:
+                    raise NestingDepthError("input nested too deeply")
+                slot = 0
+                separators = _INNER
+            else:
+                break
+        elif token == wanted:
+            if slot == 2:  # a ")": the conditional's three operands are read
+                r = operands.pop()
+                q = operands.pop()
+                operands[-1] = Cond(operands[-1], q, r)
+                slot = slots.pop()
+                if not slots:
+                    separators = _OUTER
+                wanted = separators[slot]
+            else:
+                slot += 1
+                wanted = None
+        else:
+            break
+    else:
+        if wanted is not None and not slots and slot != 1:
+            return operands[0] if slot == 0 else Cond(*operands)
+        raise cur.error("unexpected end of input", len(text))
+    raise cur.error(_misplaced(token, wanted, not slots), cur.position(k))
 
 
 def _shared_objects(root: object, cls: type, children: Callable) -> set[int]:

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import condalg as c
 from condalg import normalform
+from condalg.terms import _TERM_TOKENS, TokenCursor
 
 ATOM_A = c.Atom("a")
 ATOM_B = c.Atom("b")
@@ -287,6 +288,46 @@ def paper_render_term(t: c.Term) -> str:
         s = paper_render_term(sub)
         parts.append(f"({s})" if isinstance(sub, c.Cond) else s)
     return f"{parts[0]} <| {parts[1]} |> {parts[2]}"
+
+
+def _oracle_operand(cur: TokenCursor, atoms: dict[str, c.AtomTerm]) -> c.Term:
+    token = cur.take()
+    if token == "(":
+        inner = _oracle_cond(cur, _oracle_operand(cur, atoms), atoms)
+        cur.expect(")")
+        return inner
+    term = {"T": c.TRUE, "F": c.FALSE}.get(token) or atoms.get(token)
+    if term is None:
+        if token[0] == '"':
+            name = token[1:-1]
+        elif token[0].isalpha():
+            name = token
+        else:
+            raise cur.fail(f"unexpected token {token!r}")
+        # Quoted and bare spellings of one name share its AtomTerm.
+        term = atoms[token] = atoms.setdefault(name, c.AtomTerm(c.Atom(name)))
+    return term
+
+
+def _oracle_cond(cur: TokenCursor, left: c.Term, atoms: dict[str, c.AtomTerm]) -> c.Cond:
+    cur.expect("<|")
+    mid = _oracle_operand(cur, atoms)
+    cur.expect("|>")
+    return c.Cond(left, mid, _oracle_operand(cur, atoms))
+
+
+def oracle_parse_term(text: str) -> c.Term:
+    """``parse_term`` as the grammar reads, by recursive descent over the
+    same tokens: two frames per level of parentheses, one ``AtomTerm``
+    per atom name.  Raises what ``parse_term`` raises, at the same
+    positions, except that too deep an input raises RecursionError."""
+    cur = TokenCursor(_TERM_TOKENS, text, c.TermSyntaxError)
+    atoms: dict[str, c.AtomTerm] = {}
+    term = _oracle_operand(cur, atoms)
+    if cur.peek() == "<|":
+        term = _oracle_cond(cur, term, atoms)
+    cur.finish()
+    return term
 
 
 def paper_render_tree(x: c.EvalTree) -> str:

@@ -101,6 +101,53 @@ def test_desugar_examples():
     assert c.desugar(c.SclOr(SA, SB)) == p("T <| a |> b")
 
 
+def _rule_desugar(e: c.SclExpr) -> c.Term:
+    """``desugar`` rule by rule, one new ``AtomTerm`` per atom occurrence."""
+    if isinstance(e, c.SclTrue):
+        return T
+    if isinstance(e, c.SclFalse):
+        return F
+    if isinstance(e, c.SclAtom):
+        return c.AtomTerm(e.atom)
+    if isinstance(e, c.SclNot):
+        return c.Cond(F, _rule_desugar(e.operand), T)
+    if isinstance(e, c.SclAnd):
+        return c.Cond(_rule_desugar(e.right), _rule_desugar(e.left), F)
+    return c.Cond(T, _rule_desugar(e.left), _rule_desugar(e.right))
+
+
+def _atom_term_ids(t: c.Term) -> set[int]:
+    found = set()
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, c.Cond):
+            stack += (x.true_branch, x.condition, x.false_branch)
+        elif isinstance(x, c.AtomTerm):
+            found.add(id(x))
+    return found
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_desugar_builds_one_atom_term_per_name(op):
+    # A 150-connective chain over three names, some negated, some quoted.
+    literals = [("!" if k % 4 == 1 else "") + ('"b"', "a", "c_1")[k % 3] for k in range(151)]
+    e = c.parse_sc(f" {op} ".join(literals))
+    t = c.desugar(e)
+    assert len(_atom_term_ids(t)) == 3
+    assert c.render_term(t) == c.render_term(_rule_desugar(e))
+    assert t == _rule_desugar(e)
+    # Each call builds its own.
+    assert not _atom_term_ids(t) & _atom_term_ids(c.desugar(e))
+
+
+def test_desugar_agrees_with_the_rules_on_small_expressions():
+    for e in exprs_upto(2):
+        t = c.desugar(e)
+        assert t == _rule_desugar(e)
+        assert len(_atom_term_ids(t)) == len(c.alphabet(t))
+
+
 def _sc_dual(e: c.SclExpr) -> c.SclExpr:
     if isinstance(e, c.SclTrue):
         return c.SC_FALSE
