@@ -57,7 +57,6 @@ from .evaltrees import (
     Node,
     evaluate_with_oracle,
     evaluations,
-    leaf_replace,
     render_tree,
     same_tree,
     se,
@@ -68,12 +67,9 @@ from .normalform import (
     bf,
     cbf,
     cf,
-    cr_aux,
     e_sigma,
     mbf,
-    mem_aux,
     mf,
-    rp_aux,
     rpbf,
     rpf,
     sbf,
@@ -81,13 +77,10 @@ from .normalform import (
 )
 from .treetransform import (
     cr,
-    cr_tree_aux,
     cse,
     mem,
-    mem_tree_aux,
     mse,
     rp,
-    rp_tree_aux,
     rpse,
     sse,
 )
@@ -99,27 +92,17 @@ from .congruence import (
     CR,
     FREE,
     MEM,
-    PAnd,
-    PAtom,
-    PFalse,
-    PNot,
-    POr,
-    PTrue,
     KIND_LEVEL,
-    PropFormula,
     RP,
     SYSTEM_LEVEL,
     SYSTEMS,
     TruthTable,
     check_axioms,
     equivalent,
-    eval_formula,
     normal_form,
     render_truth_table,
     separation_witnesses,
     static,
-    static_matches_tautology,
-    to_propositional,
     transformed_tree,
     truth_table,
 )

@@ -5,17 +5,18 @@
 test suite exercises that agreement exhaustively rather than assuming it.
 
 The module also carries the equational systems (CP and its extensions) as
-instantiable schemes, a truth-table generator for the propositional
-translation of the conditional, and the built-in witnesses separating the
-congruence lattice's adjacent levels.  Truth tables are bit-parallel: the
-term is folded once into integers holding one bit per row.
+instantiable schemes, a truth-table generator that reads ``p <| q |> r``
+classically as ``(p ∧ q) ∨ (¬q ∧ r)``, and the built-in witnesses
+separating the congruence lattice's adjacent levels.  Truth tables are
+bit-parallel: the term is folded once into integers holding one bit per
+row.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence
 
 from .errors import CondAlgError, InstanceBudgetError
 from .evaltrees import LEAF_F, LEAF_T, EvalTree, Node, same_tree, se
@@ -32,6 +33,7 @@ from .terms import (
     alphabet,
     fold,
     format_atom,
+    frozen,
     iter_atoms_sorted,
     term_children,
 )
@@ -50,7 +52,7 @@ MAX_SIGMA_FOR_TABLES = 16
 KIND_LEVEL = {"free": 0, "rp": 1, "cr": 2, "mem": 3, "static": 4}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class CongruenceKind:
     """One of the five congruences; the static one carries its atom order."""
 
@@ -105,78 +107,11 @@ def equivalent(p: Term, q: Term, kind: CongruenceKind) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Propositional translation and truth tables
+# Truth tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PTrue:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PFalse:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PAtom:
-    atom: Atom
-
-
-@dataclass(frozen=True, slots=True)
-class PNot:
-    operand: "PropFormula"
-
-
-@dataclass(frozen=True, slots=True)
-class PAnd:
-    left: "PropFormula"
-    right: "PropFormula"
-
-
-@dataclass(frozen=True, slots=True)
-class POr:
-    left: "PropFormula"
-    right: "PropFormula"
-
-
-PropFormula = Union[PTrue, PFalse, PAtom, PNot, PAnd, POr]
-
-P_TRUE = PTrue()
-P_FALSE = PFalse()
-
-
-def _formula(x: Term, kids: list[PropFormula]) -> PropFormula:
-    if not kids:
-        return PAtom(x.atom) if isinstance(x, AtomTerm) else P_TRUE if x == TRUE else P_FALSE
-    p, q, r = kids
-    return POr(PAnd(p, q), PAnd(PNot(q), r))
-
-
-def to_propositional(t: Term) -> PropFormula:
-    """Translate a conditional into two-valued logic, with no
-    simplification: ``p <| q |> r`` becomes ``(p ∧ q) ∨ (¬q ∧ r)``, and a
-    subterm shared in ``t`` (so each ``q``) gives one shared subformula."""
-    return fold(t, term_children, _formula)
-
-
-def eval_formula(f: PropFormula, assignment: Mapping[Atom, bool]) -> bool:
-    """Classical evaluation under a total assignment of the atoms."""
-    if isinstance(f, PTrue):
-        return True
-    if isinstance(f, PFalse):
-        return False
-    if isinstance(f, PAtom):
-        return assignment[f.atom]
-    if isinstance(f, PNot):
-        return not eval_formula(f.operand, assignment)
-    if isinstance(f, PAnd):
-        return eval_formula(f.left, assignment) and eval_formula(f.right, assignment)
-    return eval_formula(f.left, assignment) or eval_formula(f.right, assignment)
-
-
-@dataclass(frozen=True, slots=True)
+@frozen
 class TruthTable:
     """Rows of (assignment aligned with sigma, classical value); the first
     row is all-true and the leftmost atom varies slowest."""
@@ -186,7 +121,7 @@ class TruthTable:
 
 
 def truth_table(t: Term, sigma: Sigma) -> TruthTable:
-    """Tabulate the propositional translation of ``t`` over ``sigma``.
+    """Tabulate the classical value of ``t`` over ``sigma``.
 
     Every row is computed at once: each atom's column is an integer with
     one bit per row, and ``t`` is folded into such integers, ``p <| q |>
@@ -251,18 +186,6 @@ def render_truth_table(table: TruthTable, fmt: str = "text", *, title: str = "va
         }
         return json.dumps(payload, separators=(",", ":"))
     raise ValueError(f"unknown table format: {fmt!r}")
-
-
-def static_matches_tautology(p: Term, q: Term, sigma: Sigma) -> bool:
-    """Whether the static-congruence verdict for ``p`` and ``q`` agrees
-    with their truth tables over ``sigma`` being identical.
-
-    This should always return True; it exists to expose a counterexample
-    if the two routes ever diverge.
-    """
-    by_trees = equivalent(p, q, static(sigma))
-    by_tables = truth_table(p, sigma).rows == truth_table(q, sigma).rows
-    return by_trees == by_tables
 
 
 # ---------------------------------------------------------------------------

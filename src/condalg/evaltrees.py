@@ -15,7 +15,6 @@ recurses, so any depth renders at the default recursion limit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Union
 
@@ -30,11 +29,12 @@ from .terms import (
     TrueConst,
     fold,
     format_atom,
+    frozen,
     render_shared,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Leaf:
     value: bool
 
@@ -42,7 +42,7 @@ class Leaf:
         return "T" if self.value else "F"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen(init=False)
 class Node:
     """Post-conditional composition: left branch on true, right on false."""
 
@@ -71,7 +71,7 @@ LEAF_T = Leaf(True)
 LEAF_F = Leaf(False)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Evaluation:
     """One complete root-to-leaf walk: queried atoms with their answers,
     plus the final result."""
@@ -99,21 +99,10 @@ AtomOracle = Callable[[Atom], bool]
 # ---------------------------------------------------------------------------
 
 
-def leaf_replace(x: EvalTree, for_true: EvalTree, for_false: EvalTree) -> EvalTree:
-    """Replace every true leaf of ``x`` with ``for_true`` and every false
-    leaf with ``for_false``.  Replacement subtrees are shared, not copied."""
-    if isinstance(x, Leaf):
-        return for_true if x.value else for_false
-    return Node(
-        x.atom,
-        leaf_replace(x.left, for_true, for_false),
-        leaf_replace(x.right, for_true, for_false),
-    )
-
-
 def _se(t: Term, kt: EvalTree, kf: EvalTree) -> EvalTree:
-    # ``leaf_replace(se(t), kt, kf)``, built directly: the branches' trees
-    # are built onto kt and kf and become the condition's continuations.
+    # ``se(t)`` with its true leaves replaced by kt and its false leaves by
+    # kf, built directly: the branches' trees are built onto kt and kf and
+    # become the condition's continuations.
     if isinstance(t, Cond):
         return _se(t.condition, _se(t.true_branch, kt, kf), _se(t.false_branch, kt, kf))
     if isinstance(t, AtomTerm):
@@ -125,8 +114,8 @@ def se(t: Term) -> EvalTree:
     """The evaluation tree of a term under short-circuit evaluation.
 
     The tree of ``P <| Q |> R`` is the condition's tree with its true
-    leaves replaced by P's tree and its false leaves by R's
-    (``leaf_replace``), built in one pass that shares those trees.
+    leaves replaced by P's tree and its false leaves by R's, built in one
+    pass that shares those trees.
     """
     return _se(t, LEAF_T, LEAF_F)
 

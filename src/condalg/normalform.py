@@ -5,6 +5,11 @@ post-process that basic form for the repetition-proof, contractive and
 memorizing congruences; ``sbf`` layers a term over a fixed evaluation
 order for the static congruence.
 
+Each post-processing step is, in the paper, a one-sided helper that
+rewrites a branch whose central atom repeats its parent's, applied to
+both branches of every conditional; ``rpf``, ``cf`` and ``mf`` run their
+helper inside one walk.
+
 ``bf`` shares subterms, so the objects it builds are linear in the term,
 but counted as a tree a normal form can grow exponentially.  Every
 normalizer takes a node budget (default one million nodes) and raises
@@ -25,7 +30,6 @@ from typing import Callable
 
 from .errors import AlphabetCoverageError, NodeBudgetError, NotBasicFormError
 from .terms import (
-    Atom,
     AtomTerm,
     Cond,
     FALSE,
@@ -34,10 +38,8 @@ from .terms import (
     Term,
     TrueConst,
     alphabet,
-    fold,
     is_basic_form,
     render_term,
-    term_children,
 )
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -166,7 +168,7 @@ def _reduce_once(p: Term, run: Callable[[bool, Cond, dict], Term], node_budget: 
 
 
 def _rp(side: bool, p: Cond, memo: dict) -> Cond:
-    # rp_aux(side, a, p) for p's central atom a: down the run of a along
+    # rpf's one-sided helper at p's central atom a: down the run of a along
     # ``side``, then back up, building Q <| a |> Q at each step.  ``memo``
     # maps (side, id) of each conditional of a run to its result, and is
     # also the unique table: (atom name, id(Q)) -> the one Q <| a |> Q.
@@ -199,14 +201,6 @@ def _rp(side: bool, p: Cond, memo: dict) -> Cond:
     return out
 
 
-def rp_aux(side: bool, a: Atom, p: Term) -> Term:
-    """The one-sided helper of the repetition-proof normalizer.  Rewrites a
-    basic form whose central atom repeats ``a`` into the duplicated shape;
-    anything else is returned unchanged."""
-    _require_basic(p, "rp_aux")
-    return _rp(side, p, {}) if p.__class__ is Cond and p.condition.atom == a else p
-
-
 def _rpf(p: Term, node_budget: int) -> Term:
     return _reduce_once(p, _rp, node_budget)
 
@@ -228,8 +222,9 @@ def rpbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 
 
 def _cr(side: bool, p: Cond, memo: dict) -> Term:
-    # cr_aux(side, a, p) for p's central atom a; ``memo`` maps (side, id)
-    # of each conditional of a run to where the run ends.
+    # cf's one-sided helper at p's central atom a, which strips the run of
+    # a along ``side``; ``memo`` maps (side, id) of each conditional of a
+    # run to where the run ends.
     out = memo.get((side, id(p)))
     if out is not None:
         return out
@@ -246,13 +241,6 @@ def _cr(side: bool, p: Cond, memo: dict) -> Term:
     for q in run:
         memo[(side, id(q))] = out
     return out
-
-
-def cr_aux(side: bool, a: Atom, p: Term) -> Term:
-    """The one-sided helper of the contractive normalizer: strips repeated
-    central occurrences of ``a`` off a basic form."""
-    _require_basic(p, "cr_aux")
-    return _cr(side, p, {}) if p.__class__ is Cond and p.condition.atom == a else p
 
 
 def _cf(p: Term, node_budget: int) -> Term:
@@ -273,30 +261,6 @@ def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 # Memorizing normalizer
 # ---------------------------------------------------------------------------
-
-
-def _mem(side: bool, a: Atom, p: Term) -> Term:
-    # A fold, so each object of ``p`` is resolved once and its answer
-    # reused wherever it is shared: linear in the objects, not the tree.
-    def step(p: Term, kids: list[Term]) -> Term:
-        if not kids:
-            return p
-        left, _, right = kids
-        if p.condition.atom == a:
-            return left if side else right
-        if left is p.true_branch and right is p.false_branch:
-            return p
-        return Cond(left, p.condition, right)
-
-    return fold(p, term_children, step)
-
-
-def mem_aux(side: bool, a: Atom, p: Term) -> Term:
-    """The one-sided helper of the memorizing normalizer: resolves every
-    occurrence of ``a`` in a basic form to the chosen side, in time linear
-    in the objects of ``p`` even where it shares subterms."""
-    _require_basic(p, "mem_aux")
-    return _mem(side, a, p)
 
 
 def _memorize(p: Term, answers: dict[str, bool], spent: list[int], node_budget: int) -> Term:
@@ -326,10 +290,10 @@ def _memorize(p: Term, answers: dict[str, bool], spent: list[int], node_budget: 
 
 
 def _mf(p: Term, node_budget: int) -> Term:
-    # The memorizing form of the basic form ``p``: the paper's reduction
-    # with ``_mem`` as the helper, in one walk that carries the answers
-    # given so far and skips a repeated central atom to its remembered
-    # branch.
+    # The memorizing form of the basic form ``p``: the paper's reduction,
+    # whose helper resolves every later occurrence of a central atom to the
+    # side taken, in one walk that carries the answers given so far and
+    # skips a repeated central atom to its remembered branch.
     return _memorize(p, {}, [0], node_budget)
 
 

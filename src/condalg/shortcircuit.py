@@ -10,7 +10,6 @@ compares.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import NestingDepthError, OracleError, TermSyntaxError
@@ -24,6 +23,7 @@ from .terms import (
     Term,
     TokenCursor,
     format_atom,
+    frozen,
 )
 
 # ---------------------------------------------------------------------------
@@ -31,19 +31,19 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SclTrue:
     def __repr__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SclFalse:
     def __repr__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SclAtom:
     atom: Atom
 
@@ -51,7 +51,7 @@ class SclAtom:
         return render_sc(self)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SclNot:
     operand: "SclExpr"
 
@@ -59,7 +59,7 @@ class SclNot:
         return render_sc(self)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SclAnd:
     left: "SclExpr"
     right: "SclExpr"
@@ -68,7 +68,7 @@ class SclAnd:
         return render_sc(self)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SclOr:
     left: "SclExpr"
     right: "SclExpr"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -30,12 +30,30 @@ from .errors import DuplicateAtomError, NestingDepthError, TermSyntaxError
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
+def frozen(cls=None, /, *, init: bool = True):
+    """``dataclass(frozen=True, slots=True, init=init)``, whose instances
+    raise FrozenInstanceError on setting or deleting any name.  (The
+    methods dataclasses generates raise TypeError for a name that is not
+    a field once ``slots=True`` has rebuilt the class.)"""
+
+    def make(cls):
+        cls = dataclass(frozen=True, slots=True, init=init)(cls)
+        cls.__setattr__ = cls.__delattr__ = _refuse_change
+        return cls
+
+    return make if cls is None else make(cls)
+
+
+def _refuse_change(self, name, *value):
+    raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Atoms and atom sequences
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Atom:
     """An atomic proposition, identified by its name.
 
@@ -68,7 +86,7 @@ def format_atom(a: Atom) -> str:
 AtomSet = frozenset  # unordered finite set of Atom
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Sigma:
     """A duplicate-free, ordered sequence of atoms (an evaluation order).
 
@@ -111,19 +129,19 @@ SIGMA_EMPTY = Sigma(())
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TrueConst:
     def __repr__(self) -> str:
         return "T"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FalseConst:
     def __repr__(self) -> str:
         return "F"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class AtomTerm:
     atom: Atom
 
@@ -131,7 +149,7 @@ class AtomTerm:
         return format_atom(self.atom)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen(init=False)
 class Cond:
     """The conditional ``true_branch <| condition |> false_branch``."""
 

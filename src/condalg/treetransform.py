@@ -9,23 +9,23 @@ congruent exactly when their transformed trees are equal:
 * ``sse`` — memorizing over a fixed atom order, which yields the full
   binary tree a truth table describes.
 
-The trees ``se`` builds share subtrees.  ``rp`` and ``cr`` walk each
-object of their input once, so their time is linear in the objects of the
-input plus the shared tree they build, however large either is counted as
-a tree; the paper's definition rewrites each branch with the one-sided
-helper and walks the result as a tree.  ``mem`` (and so ``mse`` and
-``sse``) is one walk that carries the answers given so far, in time
-proportional to its output counted as a tree; the paper's definition,
-with ``mem_tree_aux``, walks the rest of the tree again below every node.
+The paper defines each transform by a one-sided helper, which rewrites a
+branch whose root repeats its parent's atom, and a walk that applies it
+to both branches of every node.  The trees ``se`` builds share subtrees.
+``rp`` and ``cr`` run their helper inside one walk over each object of
+their input, so their time is linear in the objects of the input plus
+the shared tree they build, however large either is counted as a tree.
+``mem`` (and so ``mse`` and ``sse``) is one walk that carries the answers
+given so far, in time proportional to its output counted as a tree.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .evaltrees import EvalTree, Node, se, tree_children
+from .evaltrees import EvalTree, Node, se
 from .normalform import check_alphabet, e_sigma
-from .terms import Atom, Cond, Sigma, TRUE, Term, fold
+from .terms import Cond, Sigma, TRUE, Term
 
 
 def _walk_once(x: EvalTree, run: Callable[[bool, Node, dict], EvalTree]) -> EvalTree:
@@ -85,10 +85,10 @@ def _walk_once(x: EvalTree, run: Callable[[bool, Node, dict], EvalTree]) -> Eval
 
 
 def _rp_run(side: bool, x: Node, memo: dict) -> Node:
-    # rp_tree_aux(side, x.atom, x): down the run of x.atom along ``side``,
-    # then back up, building Node(a, sub, sub) at each step.  ``memo``
-    # maps (side, id) of each node of a run to its result, and is also
-    # the unique table: (atom name, id(sub)) -> the one Node(a, sub, sub).
+    # rp's one-sided helper at x's atom a: down the run of a along
+    # ``side``, then back up, building Node(a, sub, sub) at each step.
+    # ``memo`` maps (side, id) of each node of a run to its result, and is
+    # also the unique table: (atom name, id(sub)) -> the one Node(a, sub, sub).
     # A node whose branches both are already ``sub`` is its own result,
     # so a node built here, walked again, gives itself back.
     out = memo.get((side, id(x)))
@@ -118,12 +118,6 @@ def _rp_run(side: bool, x: Node, memo: dict) -> Node:
     return out
 
 
-def rp_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
-    """One-sided helper of ``rp``: duplicates the surviving branch when the
-    root repeats ``a``; leaves and other roots pass through."""
-    return _rp_run(side, x, {}) if x.__class__ is Node and x.atom == a else x
-
-
 def rp(x: EvalTree) -> EvalTree:
     """Repetition-proof transform of an evaluation tree."""
     return _walk_once(x, _rp_run)
@@ -140,8 +134,9 @@ def rpse(t: Term) -> EvalTree:
 
 
 def _cr_run(side: bool, x: Node, memo: dict) -> EvalTree:
-    # cr_tree_aux(side, x.atom, x); ``memo`` maps (side, id) of each node
-    # of a run to where the run ends.
+    # cr's one-sided helper at x's atom, which strips the run of that atom
+    # along ``side``; ``memo`` maps (side, id) of each node of a run to
+    # where the run ends.
     out = memo.get((side, id(x)))
     if out is not None:
         return out
@@ -160,11 +155,6 @@ def _cr_run(side: bool, x: Node, memo: dict) -> EvalTree:
     return out
 
 
-def cr_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
-    """One-sided helper of ``cr``: strips repeated root queries of ``a``."""
-    return _cr_run(side, x, {}) if x.__class__ is Node and x.atom == a else x
-
-
 def cr(x: EvalTree) -> EvalTree:
     """Contractive transform of an evaluation tree."""
     return _walk_once(x, _cr_run)
@@ -178,21 +168,6 @@ def cse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 # Memorizing
 # ---------------------------------------------------------------------------
-
-
-def mem_tree_aux(side: bool, a: Atom, x: EvalTree) -> EvalTree:
-    """One-sided helper of ``mem``: resolves every later query of ``a`` to
-    the remembered answer, in time linear in the objects of ``x``."""
-
-    def step(x: EvalTree, kids: list[EvalTree]) -> EvalTree:
-        if not kids:
-            return x
-        left, right = kids
-        if x.atom == a:
-            return left if side else right
-        return x if left is x.left and right is x.right else Node(x.atom, left, right)
-
-    return fold(x, tree_children, step)
 
 
 def _memorize(x: EvalTree, answers: dict[str, bool]) -> EvalTree:
@@ -219,12 +194,12 @@ def _memorize(x: EvalTree, answers: dict[str, bool]) -> EvalTree:
 def mem(x: EvalTree) -> EvalTree:
     """Memorizing transform of an evaluation tree.
 
-    Equal to the paper's definition, which rewrites each branch with
-    ``mem_tree_aux`` and transforms the result, but built in one walk that
-    carries the answers given so far: a query already answered is skipped
-    to the remembered branch.  Time is proportional to the output counted
-    as a tree (plus the skipped queries), and subtrees that need no
-    change are returned as they are.
+    Equal to the paper's definition, whose one-sided helper resolves every
+    later query of a node's atom to the branch taken, but built in one
+    walk that carries the answers given so far: a query already answered
+    is skipped to the remembered branch.  Time is proportional to the
+    output counted as a tree (plus the skipped queries), and subtrees that
+    need no change are returned as they are.
     """
     return _memorize(x, {})
 

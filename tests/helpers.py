@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping, Union
 
 import condalg as c
-from condalg import normalform
-from condalg.terms import _TERM_TOKENS, TokenCursor
+from condalg.evaltrees import tree_children
+from condalg.terms import _TERM_TOKENS, TokenCursor, fold, term_children
 
 ATOM_A = c.Atom("a")
 ATOM_B = c.Atom("b")
@@ -135,6 +137,18 @@ class RepeatStableOracle:
         return value
 
 
+def paper_leaf_replace(x: c.EvalTree, for_true: c.EvalTree, for_false: c.EvalTree) -> c.EvalTree:
+    """Replace every true leaf of ``x`` with ``for_true`` and every false
+    leaf with ``for_false``.  Replacement subtrees are shared, not copied."""
+    if isinstance(x, c.Leaf):
+        return for_true if x.value else for_false
+    return c.Node(
+        x.atom,
+        paper_leaf_replace(x.left, for_true, for_false),
+        paper_leaf_replace(x.right, for_true, for_false),
+    )
+
+
 def paper_se(t: c.Term) -> c.EvalTree:
     """``se`` as the paper defines it: the condition's tree with its leaves
     replaced by the branches' trees."""
@@ -144,7 +158,7 @@ def paper_se(t: c.Term) -> c.EvalTree:
         return c.LEAF_F
     if isinstance(t, c.AtomTerm):
         return c.Node(t.atom, c.LEAF_T, c.LEAF_F)
-    return c.leaf_replace(
+    return paper_leaf_replace(
         paper_se(t.condition), paper_se(t.true_branch), paper_se(t.false_branch)
     )
 
@@ -176,7 +190,9 @@ def paper_reduce(p: c.Term, aux) -> c.Term:
 
 
 def paper_rp_tree_aux(side: bool, a: c.Atom, x: c.EvalTree) -> c.EvalTree:
-    """``rp_tree_aux`` written recursively, as the paper defines it."""
+    """The one-sided helper of ``rp``, as the paper defines it: duplicates
+    the surviving branch when the root repeats ``a``; leaves and other
+    roots pass through."""
     if isinstance(x, c.Node) and x.atom == a:
         sub = paper_rp_tree_aux(side, a, x.left if side else x.right)
         return c.Node(a, sub, sub)
@@ -184,14 +200,17 @@ def paper_rp_tree_aux(side: bool, a: c.Atom, x: c.EvalTree) -> c.EvalTree:
 
 
 def paper_cr_tree_aux(side: bool, a: c.Atom, x: c.EvalTree) -> c.EvalTree:
-    """``cr_tree_aux`` written recursively, as the paper defines it."""
+    """The one-sided helper of ``cr``, as the paper defines it: strips
+    repeated root queries of ``a``."""
     if isinstance(x, c.Node) and x.atom == a:
         return paper_cr_tree_aux(side, a, x.left if side else x.right)
     return x
 
 
 def paper_rp_aux(side: bool, a: c.Atom, p: c.Term) -> c.Term:
-    """``rp_aux`` written recursively, as the paper defines it."""
+    """The one-sided helper of the repetition-proof normalizer, as the
+    paper defines it: rewrites a basic form whose central atom repeats
+    ``a`` into the duplicated shape; anything else is returned unchanged."""
     if isinstance(p, c.Cond) and p.condition.atom == a:
         sub = paper_rp_aux(side, a, p.true_branch if side else p.false_branch)
         return c.Cond(sub, p.condition, sub)
@@ -199,10 +218,46 @@ def paper_rp_aux(side: bool, a: c.Atom, p: c.Term) -> c.Term:
 
 
 def paper_cr_aux(side: bool, a: c.Atom, p: c.Term) -> c.Term:
-    """``cr_aux`` written recursively, as the paper defines it."""
+    """The one-sided helper of the contractive normalizer, as the paper
+    defines it: strips repeated central occurrences of ``a`` off a basic
+    form."""
     if isinstance(p, c.Cond) and p.condition.atom == a:
         return paper_cr_aux(side, a, p.true_branch if side else p.false_branch)
     return p
+
+
+def paper_mem_tree_aux(side: bool, a: c.Atom, x: c.EvalTree) -> c.EvalTree:
+    """One-sided helper of ``mem``: resolves every later query of ``a`` to
+    the remembered answer, in time linear in the objects of ``x``."""
+
+    def step(x: c.EvalTree, kids: list[c.EvalTree]) -> c.EvalTree:
+        if not kids:
+            return x
+        left, right = kids
+        if x.atom == a:
+            return left if side else right
+        return x if left is x.left and right is x.right else c.Node(x.atom, left, right)
+
+    return fold(x, tree_children, step)
+
+
+def paper_mem_aux(side: bool, a: c.Atom, p: c.Term) -> c.Term:
+    """The one-sided helper of the memorizing normalizer: resolves every
+    occurrence of ``a`` in a basic form to the chosen side.  A fold, so
+    each object of ``p`` is resolved once and its answer reused wherever
+    it is shared: linear in the objects, not the tree."""
+
+    def step(p: c.Term, kids: list[c.Term]) -> c.Term:
+        if not kids:
+            return p
+        left, _, right = kids
+        if p.condition.atom == a:
+            return left if side else right
+        if left is p.true_branch and right is p.false_branch:
+            return p
+        return c.Cond(left, p.condition, right)
+
+    return fold(p, term_children, step)
 
 
 def paper_rp(x: c.EvalTree) -> c.EvalTree:
@@ -217,8 +272,8 @@ def paper_cr(x: c.EvalTree) -> c.EvalTree:
 
 def paper_mem(x: c.EvalTree) -> c.EvalTree:
     """``mem`` as the paper defines it: each branch resolved against its
-    node's answer by ``mem_tree_aux``, then transformed in turn."""
-    return paper_walk(x, c.mem_tree_aux)
+    node's answer by ``paper_mem_tree_aux``, then transformed in turn."""
+    return paper_walk(x, paper_mem_tree_aux)
 
 
 def paper_rpf(p: c.Term) -> c.Term:
@@ -234,7 +289,86 @@ def paper_cf(p: c.Term) -> c.Term:
 def paper_mf(p: c.Term) -> c.Term:
     """``mf`` as the paper defines it, over basic forms: each branch
     resolved against the central atom's answer, then reduced in turn."""
-    return paper_reduce(p, normalform._mem)
+    return paper_reduce(p, paper_mem_aux)
+
+
+@dataclass(frozen=True, slots=True)
+class PTrue:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class PFalse:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class PAtom:
+    atom: c.Atom
+
+
+@dataclass(frozen=True, slots=True)
+class PNot:
+    operand: "PropFormula"
+
+
+@dataclass(frozen=True, slots=True)
+class PAnd:
+    left: "PropFormula"
+    right: "PropFormula"
+
+
+@dataclass(frozen=True, slots=True)
+class POr:
+    left: "PropFormula"
+    right: "PropFormula"
+
+
+PropFormula = Union[PTrue, PFalse, PAtom, PNot, PAnd, POr]
+
+P_TRUE = PTrue()
+P_FALSE = PFalse()
+
+
+def _formula(x: c.Term, kids: list[PropFormula]) -> PropFormula:
+    if not kids:
+        return PAtom(x.atom) if isinstance(x, c.AtomTerm) else P_TRUE if x == c.TRUE else P_FALSE
+    p, q, r = kids
+    return POr(PAnd(p, q), PAnd(PNot(q), r))
+
+
+def paper_to_propositional(t: c.Term) -> PropFormula:
+    """Translate a conditional into two-valued logic, with no
+    simplification: ``p <| q |> r`` becomes ``(p ∧ q) ∨ (¬q ∧ r)``, and a
+    subterm shared in ``t`` (so each ``q``) gives one shared subformula."""
+    return fold(t, term_children, _formula)
+
+
+def paper_eval_formula(f: PropFormula, assignment: Mapping[c.Atom, bool]) -> bool:
+    """Classical evaluation under a total assignment of the atoms."""
+    if isinstance(f, PTrue):
+        return True
+    if isinstance(f, PFalse):
+        return False
+    if isinstance(f, PAtom):
+        return assignment[f.atom]
+    if isinstance(f, PNot):
+        return not paper_eval_formula(f.operand, assignment)
+    if isinstance(f, PAnd):
+        return paper_eval_formula(f.left, assignment) and paper_eval_formula(f.right, assignment)
+    return paper_eval_formula(f.left, assignment) or paper_eval_formula(f.right, assignment)
+
+
+def paper_static_matches_tautology(p: c.Term, q: c.Term, sigma: c.Sigma) -> bool:
+    """Whether the static-congruence verdict for ``p`` and ``q`` agrees
+    with their truth tables over ``sigma`` being identical.
+
+    This should always return True; it exists to expose a counterexample
+    if the two routes ever diverge.
+    """
+    by_trees = c.equivalent(p, q, c.static(sigma))
+    by_tables = c.truth_table(p, sigma).rows == c.truth_table(q, sigma).rows
+    return by_trees == by_tables
 
 
 def static_prefix(sigma: c.Sigma, t: c.Term) -> c.Term:

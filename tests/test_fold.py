@@ -5,6 +5,8 @@ Every walk runs at the default recursion limit on a 5,000-deep chain and
 (or 3^60) nodes counted as a tree.  Results are checked against values
 known in closed form, and shared DAGs are compared by identity and by
 walking one path, never with ``==``, which would walk them as trees.
+The one-sided memorizing helpers and the propositional translation are
+the paper's definitions in tests/helpers.py, written on the same fold.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import condalg as c
 from condalg.evaltrees import tree_children
 from condalg.terms import fold, term_children
 from helpers import (
+    PAtom,
+    PFalse,
+    PTrue,
     SIGMA_AB,
     SIGMA_BA,
     all_terms_upto,
@@ -26,6 +31,9 @@ from helpers import (
     paper_is_mem_basic_form,
     paper_is_rp_basic_form,
     paper_is_st_basic_form,
+    paper_mem_aux,
+    paper_mem_tree_aux,
+    paper_to_propositional,
     random_terms,
 )
 
@@ -150,17 +158,17 @@ def test_term_size_deep_and_shared(term, expected):
 
 @pytest.mark.parametrize("shape", ["chain", "dag"])
 def test_to_propositional_deep_and_shared(shape):
-    a = c.PAtom(ATOMS[0])
+    a = PAtom(ATOMS[0])
     if shape == "chain":
         # x <| a0 |> F is (x ∧ a0) ∨ (¬a0 ∧ F), one a0 object per level
-        f = c.to_propositional(term_chain(DEEP, "same"))
+        f = paper_to_propositional(term_chain(DEEP, "same"))
         for _ in range(DEEP):
             assert f.left.right is f.right.left.operand
-            assert f.left.right == a and f.right.right == c.PFalse()
+            assert f.left.right == a and f.right.right == PFalse()
             f = f.left.left
-        assert f == c.PTrue()
+        assert f == PTrue()
     else:
-        f = c.to_propositional(condition_nested(LEVELS, c.AtomTerm(ATOMS[0])))
+        f = paper_to_propositional(condition_nested(LEVELS, c.AtomTerm(ATOMS[0])))
         for _ in range(LEVELS):
             assert f.left.left is f.left.right is f.right.left.operand is f.right.right
             f = f.left.left
@@ -319,7 +327,7 @@ def test_mem_tree_aux_deep_and_shared(shape, side):
     # a0 is asked only at the bottom; resolving it leaves that answer there
     levels = DEEP if shape == "chain" else LEVELS
     x = tree_chain(levels) if shape == "chain" else tree_dag(levels)
-    y = c.mem_tree_aux(side, ATOMS[0], x)
+    y = paper_mem_tree_aux(side, ATOMS[0], x)
     for k in reversed(range(1, levels)):
         assert y.atom == ATOMS[k]
         if shape == "dag":
@@ -329,7 +337,7 @@ def test_mem_tree_aux_deep_and_shared(shape, side):
         y = y.left
     # the bottom (T <a0> F), or (T <a0> T) in the DAG, answers a0
     assert y is (LT if side or shape == "dag" else LF)
-    assert c.mem_tree_aux(side, c.Atom("z"), x) is x
+    assert paper_mem_tree_aux(side, c.Atom("z"), x) is x
 
 
 @pytest.mark.parametrize("side", [True, False])
@@ -337,7 +345,7 @@ def test_mem_tree_aux_deep_and_shared(shape, side):
 def test_mem_aux_deep_and_shared(shape, side):
     levels = DEEP if shape == "chain" else LEVELS
     t = term_chain(levels) if shape == "chain" else layered(levels)
-    y = c.mem_aux(side, ATOMS[0], t)
+    y = paper_mem_aux(side, ATOMS[0], t)
     for k in reversed(range(1, levels)):
         assert y.condition.atom == ATOMS[k]
         if shape == "dag":
@@ -347,4 +355,4 @@ def test_mem_aux_deep_and_shared(shape, side):
         y = y.true_branch
     # the bottom T <| a0 |> F (or T <| a0 |> T) answers a0
     assert y is (T if side or shape == "dag" else F)
-    assert c.mem_aux(side, c.Atom("z"), t) is t
+    assert paper_mem_aux(side, c.Atom("z"), t) is t

@@ -1,11 +1,14 @@
 """The dataclass contract of ``Cond`` and ``Node``, the objects every layer
 builds most: frozen, slotted, compared and hashed on their fields, and
-usable with ``dataclasses`` and ``pickle`` as any frozen dataclass is."""
+usable with ``dataclasses`` and ``pickle`` as any frozen dataclass is.
+Every other frozen dataclass of the package refuses assignment alike."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
@@ -94,3 +97,39 @@ def test_pickle_round_trip(cls, names, values, others, protocol):
     assert y == x and hash(y) == hash(x)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(y, names[0], values[0])
+
+
+def frozen_dataclasses() -> list[type]:
+    """Every frozen dataclass defined in a module of the package."""
+    found = {}
+    for info in pkgutil.iter_modules(c.__path__, "condalg."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if (
+                isinstance(value, type)
+                and value.__module__.startswith("condalg.")
+                and dataclasses.is_dataclass(value)
+                and value.__dataclass_params__.frozen
+            ):
+                found[value.__qualname__] = value
+    return [found[name] for name in sorted(found)]
+
+
+FROZEN = frozen_dataclasses()
+
+
+def test_frozen_dataclasses_are_found():
+    names = {cls.__name__ for cls in FROZEN}
+    assert {"Atom", "Cond", "Node", "Leaf", "Sigma", "CongruenceKind", "SclAnd"} <= names
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_every_frozen_dataclass_refuses_setting_and_deleting_any_name(cls):
+    # The methods are the class's, so an instance made without __init__
+    # (whose slots may be empty) checks them as any instance would.
+    x = object.__new__(cls)
+    names = [f.name for f in dataclasses.fields(cls)][:1] + ["extra"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)

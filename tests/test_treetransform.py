@@ -15,7 +15,10 @@ from helpers import (
     all_terms_upto,
     basic_forms_ab,
     deep_tree_pool,
+    paper_cr_tree_aux,
     paper_mem,
+    paper_mem_tree_aux,
+    paper_rp_tree_aux,
     paper_se,
     random_terms,
     static_prefix,
@@ -41,46 +44,46 @@ def node(a, left, right):
 
 
 def test_rp_tree_aux_examples():
-    assert c.rp_tree_aux(TRUE_SIDE, ATOM_A, LT) == LT
-    assert c.rp_tree_aux(TRUE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == node(
+    assert paper_rp_tree_aux(TRUE_SIDE, ATOM_A, LT) == LT
+    assert paper_rp_tree_aux(TRUE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == node(
         ATOM_A, LT, LT
     )
-    assert c.rp_tree_aux(FALSE_SIDE, ATOM_A, node(ATOM_B, LT, LF)) == node(
+    assert paper_rp_tree_aux(FALSE_SIDE, ATOM_A, node(ATOM_B, LT, LF)) == node(
         ATOM_B, LT, LF
     )
 
 
 def test_cr_tree_aux_examples():
-    assert c.cr_tree_aux(TRUE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == LT
-    assert c.cr_tree_aux(FALSE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == LF
-    assert c.cr_tree_aux(TRUE_SIDE, ATOM_A, LF) == LF
+    assert paper_cr_tree_aux(TRUE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == LT
+    assert paper_cr_tree_aux(FALSE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == LF
+    assert paper_cr_tree_aux(TRUE_SIDE, ATOM_A, LF) == LF
 
 
 def test_mem_tree_aux_examples():
-    assert c.mem_tree_aux(
+    assert paper_mem_tree_aux(
         TRUE_SIDE, ATOM_A, node(ATOM_B, node(ATOM_A, LT, LF), LF)
     ) == node(ATOM_B, LT, LF)
-    assert c.mem_tree_aux(FALSE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == LF
-    assert c.mem_tree_aux(TRUE_SIDE, ATOM_A, LT) == LT
+    assert paper_mem_tree_aux(FALSE_SIDE, ATOM_A, node(ATOM_A, LT, LF)) == LF
+    assert paper_mem_tree_aux(TRUE_SIDE, ATOM_A, LT) == LT
 
 
 def test_rp_tree_absorption_laws():
     for a in (ATOM_A, ATOM_B):
         for x in deep_tree_pool():
-            fx = c.rp_tree_aux(TRUE_SIDE, a, x)
-            gx = c.rp_tree_aux(FALSE_SIDE, a, x)
-            assert c.rp_tree_aux(FALSE_SIDE, a, fx) == fx
-            assert c.rp_tree_aux(TRUE_SIDE, a, fx) == fx
-            assert c.rp_tree_aux(TRUE_SIDE, a, gx) == gx
-            assert c.rp_tree_aux(FALSE_SIDE, a, gx) == gx
+            fx = paper_rp_tree_aux(TRUE_SIDE, a, x)
+            gx = paper_rp_tree_aux(FALSE_SIDE, a, x)
+            assert paper_rp_tree_aux(FALSE_SIDE, a, fx) == fx
+            assert paper_rp_tree_aux(TRUE_SIDE, a, fx) == fx
+            assert paper_rp_tree_aux(TRUE_SIDE, a, gx) == gx
+            assert paper_rp_tree_aux(FALSE_SIDE, a, gx) == gx
 
 
 def test_mem_tree_commutations():
     sides = (TRUE_SIDE, FALSE_SIDE)
     for s1, s2 in itertools.product(sides, repeat=2):
         for x in deep_tree_pool():
-            one = c.mem_tree_aux(s1, ATOM_A, c.mem_tree_aux(s2, ATOM_B, x))
-            other = c.mem_tree_aux(s2, ATOM_B, c.mem_tree_aux(s1, ATOM_A, x))
+            one = paper_mem_tree_aux(s1, ATOM_A, paper_mem_tree_aux(s2, ATOM_B, x))
+            other = paper_mem_tree_aux(s2, ATOM_B, paper_mem_tree_aux(s1, ATOM_A, x))
             assert one == other
 
 
