@@ -110,6 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "and valuation congruences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's own parser, by name, for ``_parse``.
+    parser.commands = sub.choices
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
@@ -264,9 +266,27 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the top-level pass
+    skipped when ``argv`` names a command: that command's parser reads
+    the rest.  Anything else, including arguments the command's parser
+    leaves over, goes to the full parser, so every message and exit code
+    is the full parser's."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv:
+        command = parser.commands.get(argv[0])
+        if command is not None:
+            args, extras = command.parse_known_args(argv[1:])
+            if not extras:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(argv)
     # parse_sc, desugar and the transforms recurse once per nesting
     # level; parse_term allows half this limit.
     limit = sys.getrecursionlimit()

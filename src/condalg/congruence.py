@@ -166,13 +166,12 @@ def render_truth_table(table: TruthTable, fmt: str = "text", *, title: str = "va
     """Render a table as aligned text (``T``/``F`` cells) or as JSON."""
     if fmt == "text":
         names = [format_atom(a) for a in table.sigma]
-        widths = [len(n) for n in names]
+        # Each column's (F, T) cells, padded to its name's width once.
+        cells = [("F".ljust(len(n)), "T".ljust(len(n))) for n in names]
         lines = [" ".join(names) + " | " + title]
         for values, result in table.rows:
-            cells = " ".join(
-                ("T" if v else "F").ljust(w) for v, w in zip(values, widths)
-            )
-            lines.append(f"{cells} | {'T' if result else 'F'}")
+            row = " ".join([pair[v] for pair, v in zip(cells, values)])
+            lines.append(f"{row} | {'T' if result else 'F'}")
         return "\n".join(lines)
     if fmt == "json":
         import json
@@ -413,17 +412,14 @@ def _store_se(
 _STORE_TRANSFORMS = {"rp": rp, "cr": cr, "mem": mem}
 
 
-def _tree_store(
-    pool: tuple[Term, ...], kind: CongruenceKind, order: Term
-) -> Callable[[Term], EvalTree]:
+def _tree_store(pool: tuple[Term, ...], kind: CongruenceKind) -> Callable[[Term], EvalTree]:
     # The tree whose equality decides ``kind``, for every instance side of
     # one check_axioms call, built from tables that live as long as the
     # call: a unique table, so that equal trees built here are one object;
     # a memo of ``se`` under continuations for the pool's conditionals; and
     # the transform of each distinct tree.  Only the pool's objects are
     # memoized: the conditionals a scheme builds are dropped after their
-    # instance, and a later object may reuse their ``id``.  ``order`` is
-    # e_sigma of a static kind's order.
+    # instance, and a later object may reuse their ``id``.
     nodes: dict[tuple[str, int, int], Node] = {}  # (atom name, id(kt), id(kf))
     built: dict[tuple[int, int, int], EvalTree] = {}  # (id(t), id(kt), id(kf))
     transformed: dict[int, EvalTree] = {}  # id of a tree built here
@@ -438,10 +434,19 @@ def _tree_store(
     if kind.tag == "free":
         return lambda t: _store_se(t, LEAF_T, LEAF_F, nodes, built, pool_conds)
     if kind.sigma is not None:
+        atoms = kind.sigma.atoms
+
         # sse(sigma, t) is mem(se(T <| e_sigma |> t)), and the tree of
-        # T <| e |> t is e's tree continued by T and se(t).
+        # T <| e_sigma |> t is se(t) under one Node(a, x, x) per atom a of
+        # sigma, in order; hash-consed here like every other node.
         def transform(x: EvalTree) -> EvalTree:
-            return mem(_store_se(order, LEAF_T, x, nodes, built, pool_conds))
+            for a in atoms:
+                key = (a.name, id(x), id(x))
+                y = nodes.get(key)
+                if y is None:
+                    y = nodes[key] = Node(a, x, x)
+                x = y
+            return mem(x)
 
     else:
         transform = _STORE_TRANSFORMS[kind.tag]
@@ -493,7 +498,7 @@ def check_axioms(
         for term in pool:
             check_alphabet(term, sigma, "check_axioms")
     order = e_sigma(sigma)
-    tree = _tree_store(pool, kind, order)
+    tree = _tree_store(pool, kind)
 
     reports: list[AxiomInstanceReport] = []
     for name in SYSTEMS[system]:

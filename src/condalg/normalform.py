@@ -343,7 +343,17 @@ def sbf(sigma: Sigma, t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ter
     """Static normal form of a term over the evaluation order ``sigma``:
     a full binary tree layered in reverse-``sigma`` order.
 
+    The paper defines it as ``mbf(T <| e_sigma |> t)``.  ``e_sigma`` has
+    no T leaf, and at each of its levels both branches are one term, so
+    the basic form of that prefix is ``bf(t)`` under a chain of
+    ``Q <| a |> Q``, one per atom ``a`` of ``sigma`` in order: built here
+    as |sigma| objects, then memorized.  Only the memorizing form,
+    counted as a tree, is bounded by ``node_budget``.
+
     Every atom of the term must occur in ``sigma``.
     """
     check_alphabet(t, sigma, "sbf")
-    return mbf(Cond(TRUE, e_sigma(sigma), t), node_budget=node_budget)
+    form = _bf(t, (TRUE, 0), (FALSE, 0))[0]
+    for a in sigma.atoms:
+        form = Cond(form, AtomTerm(a), form)
+    return _mf(form, node_budget)

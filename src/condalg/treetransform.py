@@ -7,7 +7,9 @@ congruent exactly when their transformed trees are equal:
 * ``cr``  — immediately repeated atoms collapse to a single query;
 * ``mem`` — the first answer for each atom is remembered for the walk;
 * ``sse`` — memorizing over a fixed atom order, which yields the full
-  binary tree a truth table describes.
+  binary tree a truth table describes: ``se(t)`` is layered under one
+  node per atom of the order, each with that one tree as both branches,
+  and then memorized.
 
 The paper defines each transform by a one-sided helper, which rewrites a
 branch whose root repeats its parent's atom, and a walk that applies it
@@ -24,8 +26,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .evaltrees import EvalTree, Node, se
-from .normalform import check_alphabet, e_sigma
-from .terms import Cond, Sigma, TRUE, Term
+from .normalform import check_alphabet
+from .terms import Sigma, Term
 
 
 def _walk_once(x: EvalTree, run: Callable[[bool, Node, dict], EvalTree]) -> EvalTree:
@@ -218,8 +220,17 @@ def sse(sigma: Sigma, t: Term) -> EvalTree:
     """Static evaluation tree of a term over the order ``sigma``: a full
     binary tree with the last atom of ``sigma`` at the root.
 
+    The paper defines it as ``mse(T <| e_sigma |> t)``.  ``e_sigma`` has
+    no T leaf, and at each of its levels both branches are one term, so
+    the tree of that prefix is ``se(t)`` under a chain of ``Node(a, x, x)``,
+    one per atom ``a`` of ``sigma`` in order: built here as |sigma|
+    objects, then memorized.
+
     The output genuinely depends on the order of ``sigma``, not just its
     atoms; every atom of the term must occur in ``sigma``.
     """
     check_alphabet(t, sigma, "sse")
-    return mse(Cond(TRUE, e_sigma(sigma), t))
+    x = se(t)
+    for a in sigma.atoms:
+        x = Node(a, x, x)
+    return mem(x)

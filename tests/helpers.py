@@ -7,6 +7,7 @@ Pools are cached at module level; everything here is deterministic
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -371,6 +372,17 @@ def paper_static_matches_tautology(p: c.Term, q: c.Term, sigma: c.Sigma) -> bool
     return by_trees == by_tables
 
 
+# Evaluation orders, empty to three atoms, for the static route's oracles.
+STATIC_ORDERS = tuple(c.Sigma.of(*names) for names in ("", "a", "ab", "ba", "abc", "cba"))
+
+
+def terms_over(sigma: c.Sigma) -> tuple[c.Term, ...]:
+    """The terms of ``all_terms_upto(2) + random_terms()`` whose atoms
+    all occur in ``sigma``."""
+    covered = sigma.alphabet()
+    return tuple(t for t in all_terms_upto(2) + random_terms() if c.alphabet(t) <= covered)
+
+
 def static_prefix(sigma: c.Sigma, t: c.Term) -> c.Term:
     """``T <| e_sigma |> t``, the term whose memorizing tree and normal
     form are ``sse``/``sbf`` of ``t``."""
@@ -406,6 +418,23 @@ def tree_size(x: c.EvalTree) -> int:
     if isinstance(x, c.Leaf):
         return 1
     return 1 + tree_size(x.left) + tree_size(x.right)
+
+
+def oracle_render_truth_table(table: c.TruthTable, fmt: str = "text", *, title: str = "value") -> str:
+    """``render_truth_table`` with each cell padded on its own."""
+    if fmt == "text":
+        names = [c.format_atom(a) for a in table.sigma]
+        widths = [len(n) for n in names]
+        lines = [" ".join(names) + " | " + title]
+        for values, result in table.rows:
+            cells = " ".join(("T" if v else "F").ljust(w) for v, w in zip(values, widths))
+            lines.append(f"{cells} | {'T' if result else 'F'}")
+        return "\n".join(lines)
+    payload = {
+        "sigma": [a.name for a in table.sigma],
+        "rows": [{"assignment": list(values), "value": result} for values, result in table.rows],
+    }
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def paper_render_term(t: c.Term) -> str:

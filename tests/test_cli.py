@@ -456,6 +456,15 @@ def condalg_process(
     return done, time.perf_counter() - start
 
 
+def test_static_normalize_over_a_wide_order_exits_on_the_budget():
+    # 2^27 - 1 nodes counted as a tree: the budget fires, no hang.
+    done, _ = condalg_process(
+        "normalize", "--system", "static", "--sigma", "abcdefghijklmnopqrstuvwxyz", "a"
+    )
+    assert done.returncode == 3
+    assert done.stderr == "condalg: normal form exceeds the node budget of 1000000\n"
+
+
 def test_rp_decides_and_normalizes_shared_terms_quickly():
     # t_6 is 4.4 KB of text; its rp tree and rp form have about 2^65
     # nodes counted as a tree, over a few hundred objects.
@@ -500,3 +509,42 @@ def test_main_reuses_one_parser(capsys):
         fresh.append(outcome(argv))
     assert warm == fresh
     assert warm[2][0] == 2 and "invalid choice" in warm[2][2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["equiv", "-h"],
+        ["normalize", "--h"],
+        ["bogus"],
+        ["bogus", "-h"],
+        ["--system", "free", "normalize", "a"],
+        ["normalize"],
+        ["equiv", "--system", "rp", "a"],
+        ["normalize", "--system", "free", "a", "b"],
+        ["normalize", "--system", "free", "a", "--bogus"],
+        ["normalize", "--system", "bogus", "a"],
+        ["normalize", "--system", "free", "--", "a"],
+        ["normalize", "--system", "static", "--sigma", "ab", "a"],
+        ["tree", "--semantics", "sse", "--sigma", "a", "--format", "json", "a"],
+        ["check-axioms", "--system", "CP", "--pool-depth", "x"],
+        ["witnesses", "extra"],
+        ["witnesses"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_command_parser_matches_the_full_parser(capsys, argv):
+    # cli._parse hands a command's arguments to that command's parser:
+    # the namespace, output and exit code must be the full parser's.
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert outcome(cli._parse) == outcome(cli._build_parser().parse_args)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from helpers import (
     TB,
     all_terms_upto,
     basic_forms_ab,
+    oracle_render_truth_table,
     paper_check_axioms,
     paper_eval_formula,
     paper_static_matches_tautology,
@@ -284,6 +286,41 @@ def test_render_truth_table_json():
         == '{"sigma":["a"],"rows":[{"assignment":[true],"value":false},'
         '{"assignment":[false],"value":false}]}'
     )
+
+
+def _wide_order_terms(n: int) -> tuple[c.Sigma, list[c.Term]]:
+    # An order of n atoms whose names differ in width, and terms over it:
+    # a right-nested chain, a left-nested one and seeded random ones.
+    names = ("a", "speed", "up", "b2", "x", "long_name", "c")[:n]
+    sigma = c.Sigma.of(*names)
+    atoms = [c.AtomTerm(a) for a in sigma]
+    right = left = atoms[-1]
+    for x in reversed(atoms[:-1]):
+        right = c.Cond(x, right, F)
+        left = c.Cond(T, left, x)
+    rng = random.Random(n)
+    terms = [right, left]
+    for _ in range(4):
+        t = rng.choice(atoms)
+        for _ in range(6):
+            t = c.Cond(rng.choice(atoms + [T, F]), t, rng.choice(atoms + [T, F, t]))
+        terms.append(t)
+    return sigma, terms
+
+
+def test_render_truth_table_pads_each_cell_as_the_oracle_does():
+    cases = [(sigma, t) for sigma in (SIGMA_AB, SIGMA_BA) for t in all_terms_upto(2)]
+    for n in range(4, 8):
+        sigma, terms = _wide_order_terms(n)
+        cases += [(sigma, t) for t in terms]
+    for sigma, t in cases:
+        table = c.truth_table(t, sigma)
+        title = c.render_term(t)
+        for fmt in ("text", "json"):
+            assert c.render_truth_table(table, fmt, title=title) == oracle_render_truth_table(
+                table, fmt, title=title
+            )
+        assert c.render_truth_table(table) == oracle_render_truth_table(table)
 
 
 def test_static_matches_tautology_examples():

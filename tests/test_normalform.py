@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import condalg as c
+from condalg import normalform
 from helpers import (
     ATOM_A,
     ATOM_B,
     SIGMA_AB,
     SIGMA_BA,
+    STATIC_ORDERS,
     TA,
     TB,
     all_terms_upto,
@@ -27,6 +29,7 @@ from helpers import (
     paper_se,
     random_terms,
     static_prefix,
+    terms_over,
     tree_size,
 )
 
@@ -384,9 +387,44 @@ def test_mf_matches_the_paper_definition():
 
 
 def test_sbf_matches_the_paper_composition():
-    for sigma in (SIGMA_AB, SIGMA_BA):
-        for t in all_terms_upto(2) + random_terms():
-            assert c.sbf(sigma, t) == paper_mf(c.bf(static_prefix(sigma, t)))
+    for sigma in STATIC_ORDERS:
+        for t in terms_over(sigma):
+            form = paper_mf(c.bf(static_prefix(sigma, t)))
+            assert c.sbf(sigma, t) == form
+            # The budget bounds the paper's form counted as a tree.
+            n = tree_size(paper_se(form))
+            assert c.sbf(sigma, t, node_budget=n) == form
+            message = f"normal form exceeds the node budget of {n - 1}$"
+            with pytest.raises(c.NodeBudgetError, match=message):
+                c.sbf(sigma, t, node_budget=n - 1)
+
+
+def test_sbf_walks_the_term_not_the_prefix(monkeypatch):
+    # The prefix is built without _bf, so _bf's calls do not grow with
+    # the order (a tree walk of T <| e_sigma |> t makes 2^|sigma| of them).
+    calls = 0
+    original = normalform._bf
+
+    def counting(t, kt, kf):
+        nonlocal calls
+        calls += 1
+        return original(t, kt, kf)
+
+    monkeypatch.setattr(normalform, "_bf", counting)
+    t = p("a <| b |> F")
+    counts = []
+    for names in ("ab", "abcdefghijkl"):
+        calls = 0
+        c.sbf(c.Sigma.of(*names), t)
+        counts.append(calls)
+    assert counts[0] == counts[1] > 0
+
+
+def test_sbf_over_a_wide_order_runs_out_of_budget():
+    # Over 26 atoms the static form has 2^27 - 1 nodes counted as a tree.
+    sigma = c.Sigma.of(*"abcdefghijklmnopqrstuvwxyz")
+    with pytest.raises(c.NodeBudgetError, match="exceeds the node budget of 1000000$"):
+        c.sbf(sigma, TA)
 
 
 def test_memorizing_budget_bounds_the_result_tree_size():

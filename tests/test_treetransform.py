@@ -7,11 +7,13 @@ import itertools
 import pytest
 
 import condalg as c
+from condalg import evaltrees
 from helpers import (
     ATOM_A,
     ATOM_B,
     SIGMA_AB,
     SIGMA_BA,
+    STATIC_ORDERS,
     all_terms_upto,
     basic_forms_ab,
     deep_tree_pool,
@@ -22,6 +24,7 @@ from helpers import (
     paper_se,
     random_terms,
     static_prefix,
+    terms_over,
     tree_pool,
 )
 
@@ -233,6 +236,27 @@ def test_mem_returns_a_tree_it_leaves_unchanged():
 
 
 def test_sse_matches_the_paper_composition():
-    for sigma in (SIGMA_AB, SIGMA_BA):
-        for t in all_terms_upto(2) + random_terms():
+    for sigma in STATIC_ORDERS:
+        for t in terms_over(sigma):
             assert c.sse(sigma, t) == paper_mem(paper_se(static_prefix(sigma, t)))
+
+
+def test_sse_walks_the_term_not_the_prefix(monkeypatch):
+    # The prefix is built without se, so se's calls do not grow with the
+    # order (a tree walk of T <| e_sigma |> t makes 2^|sigma| of them).
+    calls = 0
+    original = evaltrees._se
+
+    def counting(t, kt, kf):
+        nonlocal calls
+        calls += 1
+        return original(t, kt, kf)
+
+    monkeypatch.setattr(evaltrees, "_se", counting)
+    t = p("a <| b |> F")
+    counts = []
+    for names in ("ab", "abcdefghijkl"):
+        calls = 0
+        c.sse(c.Sigma.of(*names), t)
+        counts.append(calls)
+    assert counts[0] == counts[1] > 0
