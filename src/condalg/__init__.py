@@ -14,7 +14,6 @@ from .errors import (
     CondAlgError,
     DuplicateAtomError,
     InstanceBudgetError,
-    NestingDepthError,
     NodeBudgetError,
     NotBasicFormError,
     OracleError,

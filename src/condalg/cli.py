@@ -3,10 +3,11 @@
 Exit codes: 0 success (for ``equiv``: equivalent), 1 negative result
 (``equiv``: not equivalent; ``check-axioms``: some instance failed),
 2 usage or input errors (also an output file that cannot be written),
-3 resource budget exhausted (also for input nested too deeply to
-process), 4 internal error: any other exception, reported on one line
-as ``condalg: internal error: <type>: <message>``, so that a bug never
-exits with a verdict's code.
+3 a resource budget (nodes or axiom instances) ran out, 4 internal
+error: any other exception, reported on one line as ``condalg: internal
+error: <type>: <message>``, so that a bug never exits with a verdict's
+code.  Nothing in the library recurses, so input of any nesting depth
+runs at the interpreter's default recursion limit.
 """
 
 from __future__ import annotations
@@ -287,17 +288,10 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
-    # parse_sc, desugar and the transforms recurse once per nesting
-    # level; parse_term allows half this limit.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
     try:
         return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"condalg: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print("condalg: input nested too deeply", file=sys.stderr)
         return 3
     except (UsageError, CondAlgError, ValueError, OSError) as exc:
         print(f"condalg: {exc}", file=sys.stderr)
@@ -305,8 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"condalg: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

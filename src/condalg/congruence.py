@@ -384,27 +384,84 @@ def _store_se(
     # and memoized in ``built`` for the conditionals in ``pool_conds``.
     # Any conditional is looked up in ``built``: the pool's, the only ones
     # stored, stay alive for the call, so no other object has their
-    # ``id``.  A module function, not a closure: a closure that calls
-    # itself is a reference cycle, which would keep the store's tables
-    # after the call until the garbage collector runs.
-    cls = t.__class__
-    if cls is Cond:
-        key = (id(t), id(kt), id(kf))
-        x = built.get(key)
-        if x is None:
-            left = _store_se(t.true_branch, kt, kf, nodes, built, pool_conds)
-            right = _store_se(t.false_branch, kt, kf, nodes, built, pool_conds)
-            x = _store_se(t.condition, left, right, nodes, built, pool_conds)
+    # ``id``.
+    #
+    # Without recursion, as ``_se``: a branch that is a constant, an atom
+    # or found in ``built`` is resolved in place, and the condition is the
+    # next step.  ``stack`` holds, innermost last, (conditional, kt, kf)
+    # while its true branch is built, (condition, true branch's tree,
+    # None) while its false branch is, and (None, key, None) for a pool
+    # conditional whose tree, once built, goes into ``built`` under ``key``.
+    # ``missed`` is the key of a branch just looked up in ``built`` in vain.
+    stack: list[tuple] = []
+    missed = None
+    while True:
+        cls = t.__class__
+        if cls is Cond:
+            if missed is None:
+                key = (id(t), id(kt), id(kf))
+                x = built.get(key)
+            else:
+                key, missed, x = missed, None, None
+        elif cls is AtomTerm:
+            key = (t.atom.name, id(kt), id(kf))
+            x = nodes.get(key)
+            if x is None:
+                x = nodes[key] = Node(t.atom, kt, kf)
+        else:
+            x = kt if cls is TrueConst else kf
+        if x is None:  # a conditional not in ``built``
             if key[0] in pool_conds:
-                built[key] = x
-        return x
-    if cls is AtomTerm:
-        key = (t.atom.name, id(kt), id(kf))
-        x = nodes.get(key)
-        if x is None:
-            x = nodes[key] = Node(t.atom, kt, kf)
-        return x
-    return kt if cls is TrueConst else kf
+                stack.append((None, key, None))
+            p = t.true_branch
+            cls = p.__class__
+            if cls is Cond:
+                missed = (id(p), id(kt), id(kf))
+                left = built.get(missed)
+                if left is None:
+                    stack.append((t, kt, kf))
+                    t = p
+                    continue
+                missed = None
+            elif cls is AtomTerm:
+                pkey = (p.atom.name, id(kt), id(kf))
+                left = nodes.get(pkey)
+                if left is None:
+                    left = nodes[pkey] = Node(p.atom, kt, kf)
+            else:
+                left = kt if cls is TrueConst else kf
+        else:
+            if not stack:
+                return x
+            t, kt, kf = stack.pop()
+            while t is None:
+                built[kt] = x
+                if not stack:
+                    return x
+                t, kt, kf = stack.pop()
+            if kf is None:
+                kf = x
+                continue
+            left = x
+        r = t.false_branch
+        cls = r.__class__
+        if cls is Cond:
+            missed = (id(r), id(kt), id(kf))
+            right = built.get(missed)
+            if right is None:
+                stack.append((t.condition, left, None))
+                t = r
+                continue
+            missed = None
+        elif cls is AtomTerm:
+            rkey = (r.atom.name, id(kt), id(kf))
+            right = nodes.get(rkey)
+            if right is None:
+                right = nodes[rkey] = Node(r.atom, kt, kf)
+        else:
+            right = kt if cls is TrueConst else kf
+        kt, kf = left, right
+        t = t.condition
 
 
 # The transforms ``_tree_store`` applies, looked up by tag when a store is

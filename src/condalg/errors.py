@@ -1,4 +1,10 @@
-"""Exception hierarchy for the condalg package."""
+"""Exception hierarchy for the condalg package.
+
+A ``BudgetError`` means that a resource budget ran out: the node budget
+of a normal form, or the instance budget of an axiom check.  No error
+stands for input nested too deeply: nothing in the library recurses, so
+any depth runs at the interpreter's default recursion limit.
+"""
 
 from __future__ import annotations
 
@@ -36,12 +42,6 @@ class BudgetError(CondAlgError):
 
 class NodeBudgetError(BudgetError):
     """Normalization would exceed the configured node budget."""
-
-
-class NestingDepthError(BudgetError):
-    """Input nested deeper than the parsers allow: half the recursion
-    limit for ``parse_term``, what the recursion limit lets the
-    recursive-descent parsers descend for the others."""
 
 
 class InstanceBudgetError(BudgetError):

@@ -102,12 +102,40 @@ AtomOracle = Callable[[Atom], bool]
 def _se(t: Term, kt: EvalTree, kf: EvalTree) -> EvalTree:
     # ``se(t)`` with its true leaves replaced by kt and its false leaves by
     # kf, built directly: the branches' trees are built onto kt and kf and
-    # become the condition's continuations.
-    if isinstance(t, Cond):
-        return _se(t.condition, _se(t.true_branch, kt, kf), _se(t.false_branch, kt, kf))
-    if isinstance(t, AtomTerm):
-        return Node(t.atom, kt, kf)
-    return kt if isinstance(t, TrueConst) else kf
+    # become the condition's continuations, and the condition is the next
+    # step.  A branch that is a constant or an atom is built in place; one
+    # that is a conditional waits on ``stack``, innermost last, as
+    # (conditional, kt, kf) while its true branch is built, then as
+    # (condition, true branch's tree, None) while its false branch is.
+    stack: list[tuple] = []
+    while True:
+        cls = t.__class__
+        if cls is Cond:
+            p = t.true_branch
+            cls = p.__class__
+            if cls is Cond:
+                stack.append((t, kt, kf))
+                t = p
+                continue
+            left = Node(p.atom, kt, kf) if cls is AtomTerm else kt if cls is TrueConst else kf
+        else:
+            x = Node(t.atom, kt, kf) if cls is AtomTerm else kt if cls is TrueConst else kf
+            if not stack:
+                return x
+            t, kt, kf = stack.pop()
+            if kf is None:
+                kf = x
+                continue
+            left = x
+        r = t.false_branch
+        cls = r.__class__
+        if cls is Cond:
+            stack.append((t.condition, left, None))
+            t = r
+            continue
+        kf = Node(r.atom, kt, kf) if cls is AtomTerm else kt if cls is TrueConst else kf
+        kt = left
+        t = t.condition
 
 
 def se(t: Term) -> EvalTree:

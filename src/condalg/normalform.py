@@ -60,12 +60,50 @@ def _require_basic(p: Term, func: str) -> None:
 def _bf(t: Term, kt: tuple[Term, int], kf: tuple[Term, int]) -> tuple[Term, int]:
     # (basic form, size counted as a tree) of ``t`` with its T leaves
     # replaced by kt's form and its F leaves by kf's, built in one pass
-    # that shares kt and kf rather than copying them.
-    if isinstance(t, Cond):
-        return _bf(t.condition, _bf(t.true_branch, kt, kf), _bf(t.false_branch, kt, kf))
-    if isinstance(t, AtomTerm):
-        return Cond(kt[0], t, kf[0]), 1 + kt[1] + kf[1]
-    return kt if isinstance(t, TrueConst) else kf
+    # that shares kt and kf rather than copying them: the branches' forms
+    # become the condition's continuations, and the condition is the next
+    # step.  A branch that is a constant or an atom is built in place; one
+    # that is a conditional waits on ``stack``, innermost last, as
+    # (conditional, kt, kf) while its true branch is built, then as
+    # (condition, true branch's form, None) while its false branch is.
+    stack: list[tuple] = []
+    while True:
+        cls = t.__class__
+        if cls is Cond:
+            p = t.true_branch
+            cls = p.__class__
+            if cls is Cond:
+                stack.append((t, kt, kf))
+                t = p
+                continue
+            if cls is AtomTerm:
+                left = Cond(kt[0], p, kf[0]), 1 + kt[1] + kf[1]
+            else:
+                left = kt if cls is TrueConst else kf
+        else:
+            if cls is AtomTerm:
+                x = Cond(kt[0], t, kf[0]), 1 + kt[1] + kf[1]
+            else:
+                x = kt if cls is TrueConst else kf
+            if not stack:
+                return x
+            t, kt, kf = stack.pop()
+            if kf is None:
+                kf = x
+                continue
+            left = x
+        r = t.false_branch
+        cls = r.__class__
+        if cls is Cond:
+            stack.append((t.condition, left, None))
+            t = r
+            continue
+        if cls is AtomTerm:
+            kf = Cond(kt[0], r, kf[0]), 1 + kt[1] + kf[1]
+        elif cls is TrueConst:
+            kf = kt
+        kt = left
+        t = t.condition
 
 
 def bf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
@@ -266,27 +304,41 @@ def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 def _memorize(p: Term, answers: dict[str, bool], spent: list[int], node_budget: int) -> Term:
     # The memorizing form of the basic form ``p`` below the queries
     # ``answers`` (atom name -> answer) already answered, which is
-    # restored on return.  Each call returns one node of the form and is
-    # counted in ``spent[0]``, which bounds the form counted as a tree.
-    while p.__class__ is Cond:
-        answer = answers.get(p.condition.atom.name)
-        if answer is None:
-            break
-        p = p.true_branch if answer else p.false_branch
-    spent[0] += 1
-    if spent[0] > node_budget:
-        raise _over_budget(node_budget)
-    if p.__class__ is not Cond:
-        return p
-    name = p.condition.atom.name
-    answers[name] = True
-    left = _memorize(p.true_branch, answers, spent, node_budget)
-    answers[name] = False
-    right = _memorize(p.false_branch, answers, spent, node_budget)
-    del answers[name]
-    if left is p.true_branch and right is p.false_branch:
-        return p
-    return Cond(left, p.condition, right)
+    # restored on return.  Each node of the form is counted in
+    # ``spent[0]``, which bounds the form counted as a tree.  ``stack``
+    # holds, innermost last, (form, None) while the form's true branch is
+    # walked under its answer True, then (form, true branch's result)
+    # while its false branch is walked under False.
+    stack: list[tuple] = []
+    count = spent[0]
+    while True:
+        while p.__class__ is Cond:
+            answer = answers.get(p.condition.atom.name)
+            if answer is None:
+                break
+            p = p.true_branch if answer else p.false_branch
+        count += 1
+        if count > node_budget:
+            raise _over_budget(node_budget)
+        if p.__class__ is Cond:
+            answers[p.condition.atom.name] = True
+            stack.append((p, None))
+            p = p.true_branch
+            continue
+        while stack:
+            form, left = stack.pop()
+            if left is None:
+                answers[form.condition.atom.name] = False
+                stack.append((form, p))
+                p = form.false_branch
+                break
+            del answers[form.condition.atom.name]
+            if left is not form.true_branch or p is not form.false_branch:
+                form = Cond(left, form.condition, p)
+            p = form
+        else:
+            spent[0] = count
+            return p
 
 
 def _mf(p: Term, node_budget: int) -> Term:

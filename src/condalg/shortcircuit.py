@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Union
 
-from .errors import NestingDepthError, OracleError, TermSyntaxError
+from .errors import OracleError, TermSyntaxError
 from .terms import (
     Atom,
     AtomTerm,
@@ -89,102 +89,139 @@ SC_FALSE = SclFalse()
 _SC_TOKENS = Lexicon(r"""&& | \|\| | ! | \( | \) | "[^"]*" | [a-z][a-z0-9_]*""")
 
 _KEYWORDS = {"true": SC_TRUE, "false": SC_FALSE}
+_BINARY = (SclAnd, SclOr)
 
 
-def _sc_or(cur: TokenCursor) -> SclExpr:
-    expr = _sc_and(cur)
-    while cur.peek() == "||":
-        cur.take()
-        expr = SclOr(expr, _sc_and(cur))
-    return expr
-
-
-def _sc_and(cur: TokenCursor) -> SclExpr:
-    expr = _sc_unary(cur)
-    while cur.peek() == "&&":
-        cur.take()
-        expr = SclAnd(expr, _sc_unary(cur))
-    return expr
-
-
-def _sc_unary(cur: TokenCursor) -> SclExpr:
-    token = cur.take()
-    if token == "!":
-        return SclNot(_sc_unary(cur))
-    if token == "(":
-        inner = _sc_or(cur)
-        cur.expect(")")
-        return inner
-    if token[0] == '"':
-        if token == '""':
-            raise cur.fail("empty quoted atom")
-        return SclAtom(Atom(token[1:-1]))
-    if token[0].isalpha():
-        if token in _KEYWORDS:
-            return _KEYWORDS[token]
-        return SclAtom(Atom(token))
-    raise cur.fail(f"unexpected token {token!r}")
+def _apply_connectives(operands: list[SclExpr], ops: list[str]) -> None:
+    # Apply the connectives on top of ``ops``, down to the innermost open
+    # parenthesis, each to the last two operands.
+    while ops and ops[-1] != "(":
+        right = operands.pop()
+        operands[-1] = (SclAnd if ops.pop() == "&&" else SclOr)(operands[-1], right)
 
 
 def parse_sc(text: str) -> SclExpr:
     """Parse a short-circuit expression (``!``, ``&&``, ``||``,
-    ``true``/``false``, atoms, parentheses).  Raises NestingDepthError
-    when the nesting exceeds what the interpreter's recursion limit lets
-    the parser descend."""
+    ``true``/``false``, atoms, parentheses).
+
+    Reads the tokens in one loop, keeping the operands read so far on one
+    stack and the pending operators and open parentheses on another, so
+    any nesting parses at the default recursion limit.  Raises
+    TermSyntaxError (with a character position) on malformed input.
+    """
     cur = TokenCursor(_SC_TOKENS, text, TermSyntaxError)
-    try:
-        expr = _sc_or(cur)
-    except RecursionError:
-        raise NestingDepthError("input nested too deeply") from None
-    cur.finish()
-    return expr
+    operands: list[SclExpr] = []
+    ops: list[str] = []  # "!", "(", "&&" and "||" still open, innermost last
+    depth = 0  # the open parentheses
+    wanted = True  # whether an operand is wanted next
+    for k, token in enumerate(cur.tokens):
+        if wanted:
+            if token == "!" or token == "(":
+                ops.append(token)
+                depth += token == "("
+                continue
+            if token[0] == '"':
+                if token == '""':
+                    raise cur.error("empty quoted atom", cur.position(k))
+                expr = SclAtom(Atom(token[1:-1]))
+            elif token[0].isalpha():
+                expr = _KEYWORDS.get(token)
+                if expr is None:
+                    expr = SclAtom(Atom(token))
+            else:
+                raise cur.error(f"unexpected token {token!r}", cur.position(k))
+        elif token == "&&" or token == "||":
+            # Both are left-associative, and && binds tighter: apply the
+            # pending && and, before an ||, the pending ||.
+            while ops and (ops[-1] == "&&" or ops[-1] == token):
+                right = operands.pop()
+                operands[-1] = (SclAnd if ops.pop() == "&&" else SclOr)(operands[-1], right)
+            ops.append(token)
+            wanted = True
+            continue
+        elif token == ")" and depth:
+            _apply_connectives(operands, ops)
+            ops.pop()
+            depth -= 1
+            expr = operands.pop()
+        else:
+            message = f"expected ')', found {token!r}" if depth else f"trailing input {token!r}"
+            raise cur.error(message, cur.position(k))
+        # An operand is complete: the !s just before it apply first.
+        while ops and ops[-1] == "!":
+            ops.pop()
+            expr = SclNot(expr)
+        operands.append(expr)
+        wanted = False
+    if wanted or depth:
+        raise cur.error("unexpected end of input", len(text))
+    _apply_connectives(operands, ops)
+    return operands[0]
 
 
 def render_sc(e: SclExpr) -> str:
     """Render an expression with minimal parentheses."""
-    if isinstance(e, SclTrue):
-        return "true"
-    if isinstance(e, SclFalse):
-        return "false"
-    if isinstance(e, SclAtom):
-        # An atom spelled like a keyword is quoted, or it would read back
-        # as the constant.
-        if e.atom.name in _KEYWORDS:
-            return f'"{e.atom.name}"'
-        return format_atom(e.atom)
-    if isinstance(e, SclNot):
-        inner = render_sc(e.operand)
-        if isinstance(e.operand, (SclAnd, SclOr)):
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(e, SclAnd):
-        left = render_sc(e.left)
-        if isinstance(e.left, SclOr):
-            left = f"({left})"
-        right = render_sc(e.right)
-        if isinstance(e.right, (SclAnd, SclOr)):
-            right = f"({right})"
-        return f"{left} && {right}"
-    left = render_sc(e.left)
-    right = render_sc(e.right)
-    if isinstance(e.right, SclOr):
-        right = f"({right})"
-    return f"{left} || {right}"
+    parts: list[str] = []
+    # Pending work, last first: a string to append or an expression to write.
+    stack: list = [e]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is str:
+            parts.append(x)
+        elif cls is SclAnd or cls is SclOr:
+            left, right = x.left, x.right
+            # && groups an operand that is a connective on its right, and
+            # an || on its left; || groups only an || on its right.
+            if cls is SclAnd:
+                stack += (")", right, " && (") if right.__class__ in _BINARY else (right, " && ")
+                stack += (")", left, "(") if left.__class__ is SclOr else (left,)
+            else:
+                stack += (")", right, " || (") if right.__class__ is SclOr else (right, " || ")
+                stack.append(left)
+        elif cls is SclNot:
+            operand = x.operand
+            stack += (")", operand, "!(") if operand.__class__ in _BINARY else (operand, "!")
+        elif cls is SclAtom:
+            # An atom spelled like a keyword is quoted, or it would read back
+            # as the constant.
+            name = x.atom.name
+            parts.append(f'"{name}"' if name in _KEYWORDS else format_atom(x.atom))
+        else:
+            parts.append("true" if cls is SclTrue else "false")
+    return "".join(parts)
 
 
 def _desugar(e: SclExpr, atoms: dict[str, AtomTerm]) -> Term:
-    if isinstance(e, SclAnd):
-        return Cond(_desugar(e.right, atoms), _desugar(e.left, atoms), FALSE)
-    if isinstance(e, SclOr):
-        return Cond(TRUE, _desugar(e.left, atoms), _desugar(e.right, atoms))
-    if isinstance(e, SclAtom):
-        term = atoms.get(e.atom.name)
-        if term is None:
-            term = atoms[e.atom.name] = AtomTerm(e.atom)
-        return term
-    if isinstance(e, SclNot):
-        return Cond(FALSE, _desugar(e.operand, atoms), TRUE)
-    return TRUE if isinstance(e, SclTrue) else FALSE
+    # Without recursion: ``stack`` holds, last first, the expressions to
+    # desugar and, as their classes, the connectives whose operands'
+    # terms are the last ones on ``terms``.
+    terms: list[Term] = []
+    stack: list = [e]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is SclAnd or cls is SclOr:
+            stack += (cls, x.right, x.left)
+        elif cls is SclAtom:
+            term = atoms.get(x.atom.name)
+            if term is None:
+                term = atoms[x.atom.name] = AtomTerm(x.atom)
+            terms.append(term)
+        elif cls is SclNot:
+            stack += (cls, x.operand)
+        elif cls is type:
+            if x is SclNot:
+                terms[-1] = Cond(FALSE, terms[-1], TRUE)
+            else:
+                right = terms.pop()
+                if x is SclAnd:
+                    terms[-1] = Cond(right, terms[-1], FALSE)
+                else:
+                    terms[-1] = Cond(TRUE, terms[-1], right)
+        else:
+            terms.append(TRUE if cls is SclTrue else FALSE)
+    return terms[0]
 
 
 def desugar(e: SclExpr) -> Term:
@@ -213,41 +250,43 @@ def _expr_error(message: str, position: int) -> OracleError:
     return OracleError(f"{message} in register expression")
 
 
-def _eval_sum(cur: TokenCursor, state: Mapping[str, int]) -> int:
-    value = _eval_primary(cur, state)
-    while cur.peek() in ("+", "-"):
-        sign = cur.take()
-        rhs = _eval_primary(cur, state)
-        value = value + rhs if sign == "+" else value - rhs
-    return value
-
-
-def _eval_primary(cur: TokenCursor, state: Mapping[str, int]) -> int:
-    token = cur.take()
-    if token[0].isdigit():
-        return int(token)
-    if token[0].isalpha():
-        if token not in state:
-            raise OracleError(f"unknown register {token!r}")
-        return state[token]
-    if token == "(":
-        value = _eval_sum(cur, state)
-        cur.expect(")")
-        return value
-    raise cur.fail(f"unexpected {token!r}")
-
-
 def _eval_register_expr(text: str, state: Mapping[str, int]) -> int:
     """Evaluate a register expression: integers, register names, binary
-    + and -, parentheses.  Raises NestingDepthError when the parentheses
-    nest deeper than the interpreter's recursion limit lets the evaluator
-    descend."""
+    + and -, parentheses.  Reads the tokens in one loop, keeping the sum
+    outside each open parenthesis on a stack, so any nesting evaluates at
+    the default recursion limit."""
     cur = TokenCursor(_EXPR_TOKENS, text, _expr_error)
-    try:
-        value = _eval_sum(cur, state)
-    except RecursionError:
-        raise NestingDepthError("input nested too deeply") from None
-    cur.finish()
+    outer: list[tuple[int, str]] = []  # (sum before, sign) per open parenthesis
+    value, sign = 0, "+"  # the sum so far and the sign of the next operand
+    wanted = True  # whether an operand is wanted next
+    for k, token in enumerate(cur.tokens):
+        if wanted:
+            if token[0].isdigit():
+                operand = int(token)
+            elif token[0].isalpha():
+                if token not in state:
+                    raise OracleError(f"unknown register {token!r}")
+                operand = state[token]
+            elif token == "(":
+                outer.append((value, sign))
+                value, sign = 0, "+"
+                continue
+            else:
+                raise cur.error(f"unexpected {token!r}", cur.position(k))
+        elif token == "+" or token == "-":
+            sign = token
+            wanted = True
+            continue
+        elif token == ")" and outer:
+            operand = value
+            value, sign = outer.pop()
+        else:
+            message = f"expected ')', found {token!r}" if outer else f"trailing input {token!r}"
+            raise cur.error(message, cur.position(k))
+        value = value + operand if sign == "+" else value - operand
+        wanted = False
+    if wanted or outer:
+        raise cur.error("unexpected end of input", len(text))
     return value
 
 
@@ -295,7 +334,8 @@ def make_register_oracle(initial: Mapping[str, int]) -> RegisterOracle:
 
 
 def parse_register_state(text: str) -> dict[str, int]:
-    """Parse comma-separated ``name=int`` assignments, e.g. ``n=0,m=3``."""
+    """Parse comma-separated ``name=int`` assignments, e.g. ``n=0,m=3``.
+    Each register may be assigned once."""
     state: dict[str, int] = {}
     if not text.strip():
         return state
@@ -307,5 +347,7 @@ def parse_register_state(text: str) -> dict[str, int]:
             raise OracleError(f"bad register assignment {chunk!r}")
         if not _STATE_INT_RE.match(value):
             raise OracleError(f"bad integer in register assignment {chunk!r}")
+        if name in state:
+            raise OracleError(f"register {name!r} is assigned twice")
         state[name] = int(value)
     return state

@@ -8,9 +8,9 @@ Reading and writing text cost what they read and write.  ``TokenCursor``
 splits a whole text with one regex call and serves the term,
 short-circuit and register-expression grammars.  ``parse_term`` reads
 the term grammar's tokens in one loop with explicit stacks, not by
-recursive descent; it still refuses nesting deeper than half the
-recursion limit, because ``se`` and ``bf`` recurse once per level on
-what it returns.  ``render_shared``, the writer behind ``render_term``
+recursive descent, so any nesting parses at the default recursion limit,
+and nothing in the library recurses on what it returns.
+``render_shared``, the writer behind ``render_term``
 and the ascii ``render_tree``, writes a DAG whose objects are shared (as
 the normalizers and ``se`` build them) without walking a shared object
 twice: it builds the text of each object reached from more than one
@@ -20,12 +20,11 @@ parent once and reuses it, and keeps no other object's text.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .errors import DuplicateAtomError, NestingDepthError, TermSyntaxError
+from .errors import DuplicateAtomError, TermSyntaxError
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -214,10 +213,10 @@ class TokenCursor:
     One regex call splits the whole text up front, so a stray character
     is reported before any grammar error.  Malformed or empty input
     raises ``error(message, position)``; a token's position is worked out
-    only then.
+    only then.  Each grammar reads ``tokens`` in a loop of its own.
     """
 
-    __slots__ = ("lexicon", "text", "error", "tokens", "i")
+    __slots__ = ("lexicon", "text", "error", "tokens")
 
     def __init__(
         self,
@@ -229,7 +228,6 @@ class TokenCursor:
         self.text = text
         self.error = error
         self.tokens: list[str] = lexicon.split.findall(text)
-        self.i = 0
         # A stray character is a one-character token that is no token.
         strays = [s for s in set(self.tokens) if not lexicon.token.fullmatch(s)]
         if strays:
@@ -248,34 +246,6 @@ class TokenCursor:
                 if k == index:
                     return m.start()
         return len(self.text)
-
-    def fail(self, message: str) -> Exception:
-        """The error for the token taken last."""
-        return self.error(message, self.position(self.i - 1))
-
-    def peek(self) -> str | None:
-        """The next token, or None at the end."""
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> str:
-        i = self.i
-        if i == len(self.tokens):
-            raise self.error("unexpected end of input", len(self.text))
-        self.i = i + 1
-        return self.tokens[i]
-
-    def expect(self, token: str) -> None:
-        """Take the next token, which must be ``token``."""
-        found = self.take()
-        if found != token:
-            raise self.fail(f"expected {token!r}, found {found!r}")
-
-    def finish(self) -> None:
-        """Require that every token has been taken."""
-        if self.i < len(self.tokens):
-            raise self.error(
-                f"trailing input {self.tokens[self.i]!r}", self.position(self.i)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +303,13 @@ def parse_term(text: str) -> Term:
     Takes time linear in the text: one regex call splits it into tokens
     and one loop reads them, keeping the operands read so far on one
     stack and the slots of the open parentheses on another, and building
-    one ``AtomTerm`` per atom name.  It does not recurse, yet nesting
-    deeper than half the interpreter's recursion limit raises
-    NestingDepthError, because ``se`` and ``bf`` recurse once per level
-    on what it returns.  Raises TermSyntaxError (with a character
-    position) on malformed or empty input.
+    one ``AtomTerm`` per atom name.  It does not recurse, so any nesting
+    parses at the default recursion limit.  Raises TermSyntaxError (with
+    a character position) on malformed or empty input.
     """
     cur = TokenCursor(_TERM_TOKENS, text, TermSyntaxError)
     tokens = cur.tokens
     leaves = _leaves(set(tokens))
-    deepest = sys.getrecursionlimit() // 2
     operands: list[Term] = []
     push = operands.append
     slots: list[int] = []  # the slot each open parenthesis fills, innermost last
@@ -357,8 +324,6 @@ def parse_term(text: str) -> Term:
                 wanted = separators[slot]
             elif token == "(":
                 slots.append(slot)
-                if len(slots) > deepest:
-                    raise NestingDepthError("input nested too deeply")
                 slot = 0
                 separators = _INNER
             else:

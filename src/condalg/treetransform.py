@@ -174,23 +174,35 @@ def cse(t: Term) -> EvalTree:
 
 def _memorize(x: EvalTree, answers: dict[str, bool]) -> EvalTree:
     # mem of ``x`` below the queries ``answers`` (atom name -> answer)
-    # already answered; ``answers`` is restored on return.
-    while x.__class__ is Node:
-        answer = answers.get(x.atom.name)
-        if answer is None:
-            break
-        x = x.left if answer else x.right
-    if x.__class__ is not Node:
-        return x
-    name = x.atom.name
-    answers[name] = True
-    left = _memorize(x.left, answers)
-    answers[name] = False
-    right = _memorize(x.right, answers)
-    del answers[name]
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
+    # already answered; ``answers`` is restored on return.  ``stack``
+    # holds, innermost last, (node, None) while the node's left subtree is
+    # walked under its answer True, then (node, left subtree's mem) while
+    # its right one is walked under False.
+    stack: list[tuple] = []
+    while True:
+        while x.__class__ is Node:
+            answer = answers.get(x.atom.name)
+            if answer is None:
+                break
+            x = x.left if answer else x.right
+        if x.__class__ is Node:
+            answers[x.atom.name] = True
+            stack.append((x, None))
+            x = x.left
+            continue
+        while stack:
+            node, left = stack.pop()
+            if left is None:
+                answers[node.atom.name] = False
+                stack.append((node, x))
+                x = node.right
+                break
+            del answers[node.atom.name]
+            if left is not node.left or x is not node.right:
+                node = Node(node.atom, left, x)
+            x = node
+        else:
+            return x
 
 
 def mem(x: EvalTree) -> EvalTree:

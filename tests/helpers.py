@@ -15,6 +15,8 @@ from typing import Mapping, Union
 
 import condalg as c
 from condalg.evaltrees import tree_children
+from condalg.normalform import _over_budget
+from condalg.shortcircuit import _EXPR_TOKENS, _KEYWORDS, _SC_TOKENS, _expr_error
 from condalg.terms import _TERM_TOKENS, TokenCursor, fold, term_children
 
 ATOM_A = c.Atom("a")
@@ -453,7 +455,45 @@ def paper_render_term(t: c.Term) -> str:
     return f"{parts[0]} <| {parts[1]} |> {parts[2]}"
 
 
-def _oracle_operand(cur: TokenCursor, atoms: dict[str, c.AtomTerm]) -> c.Term:
+class OracleCursor(TokenCursor):
+    """A ``TokenCursor`` read one token at a time, as recursive descent
+    reads: ``take`` the next token, ``peek`` at it, ``expect`` a given
+    one, ``finish`` when every token must have been taken."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, lexicon, text, error):
+        super().__init__(lexicon, text, error)
+        self.i = 0
+
+    def fail(self, message: str) -> Exception:
+        """The error for the token taken last."""
+        return self.error(message, self.position(self.i - 1))
+
+    def peek(self) -> str | None:
+        """The next token, or None at the end."""
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self) -> str:
+        i = self.i
+        if i == len(self.tokens):
+            raise self.error("unexpected end of input", len(self.text))
+        self.i = i + 1
+        return self.tokens[i]
+
+    def expect(self, token: str) -> None:
+        """Take the next token, which must be ``token``."""
+        found = self.take()
+        if found != token:
+            raise self.fail(f"expected {token!r}, found {found!r}")
+
+    def finish(self) -> None:
+        """Require that every token has been taken."""
+        if self.i < len(self.tokens):
+            raise self.error(f"trailing input {self.tokens[self.i]!r}", self.position(self.i))
+
+
+def _oracle_operand(cur: OracleCursor, atoms: dict[str, c.AtomTerm]) -> c.Term:
     token = cur.take()
     if token == "(":
         inner = _oracle_cond(cur, _oracle_operand(cur, atoms), atoms)
@@ -472,7 +512,7 @@ def _oracle_operand(cur: TokenCursor, atoms: dict[str, c.AtomTerm]) -> c.Term:
     return term
 
 
-def _oracle_cond(cur: TokenCursor, left: c.Term, atoms: dict[str, c.AtomTerm]) -> c.Cond:
+def _oracle_cond(cur: OracleCursor, left: c.Term, atoms: dict[str, c.AtomTerm]) -> c.Cond:
     cur.expect("<|")
     mid = _oracle_operand(cur, atoms)
     cur.expect("|>")
@@ -484,13 +524,257 @@ def oracle_parse_term(text: str) -> c.Term:
     same tokens: two frames per level of parentheses, one ``AtomTerm``
     per atom name.  Raises what ``parse_term`` raises, at the same
     positions, except that too deep an input raises RecursionError."""
-    cur = TokenCursor(_TERM_TOKENS, text, c.TermSyntaxError)
+    cur = OracleCursor(_TERM_TOKENS, text, c.TermSyntaxError)
     atoms: dict[str, c.AtomTerm] = {}
     term = _oracle_operand(cur, atoms)
     if cur.peek() == "<|":
         term = _oracle_cond(cur, term, atoms)
     cur.finish()
     return term
+
+
+def _oracle_sc_or(cur: OracleCursor) -> c.SclExpr:
+    expr = _oracle_sc_and(cur)
+    while cur.peek() == "||":
+        cur.take()
+        expr = c.SclOr(expr, _oracle_sc_and(cur))
+    return expr
+
+
+def _oracle_sc_and(cur: OracleCursor) -> c.SclExpr:
+    expr = _oracle_sc_unary(cur)
+    while cur.peek() == "&&":
+        cur.take()
+        expr = c.SclAnd(expr, _oracle_sc_unary(cur))
+    return expr
+
+
+def _oracle_sc_unary(cur: OracleCursor) -> c.SclExpr:
+    token = cur.take()
+    if token == "!":
+        return c.SclNot(_oracle_sc_unary(cur))
+    if token == "(":
+        inner = _oracle_sc_or(cur)
+        cur.expect(")")
+        return inner
+    if token[0] == '"':
+        if token == '""':
+            raise cur.fail("empty quoted atom")
+        return c.SclAtom(c.Atom(token[1:-1]))
+    if token[0].isalpha():
+        if token in _KEYWORDS:
+            return _KEYWORDS[token]
+        return c.SclAtom(c.Atom(token))
+    raise cur.fail(f"unexpected token {token!r}")
+
+
+def oracle_parse_sc(text: str) -> c.SclExpr:
+    """``parse_sc`` by recursive descent, one function per precedence
+    level; too deep an input raises RecursionError."""
+    cur = OracleCursor(_SC_TOKENS, text, c.TermSyntaxError)
+    expr = _oracle_sc_or(cur)
+    cur.finish()
+    return expr
+
+
+def _oracle_eval_sum(cur: OracleCursor, state: Mapping[str, int]) -> int:
+    value = _oracle_eval_primary(cur, state)
+    while cur.peek() in ("+", "-"):
+        sign = cur.take()
+        rhs = _oracle_eval_primary(cur, state)
+        value = value + rhs if sign == "+" else value - rhs
+    return value
+
+
+def _oracle_eval_primary(cur: OracleCursor, state: Mapping[str, int]) -> int:
+    token = cur.take()
+    if token[0].isdigit():
+        return int(token)
+    if token[0].isalpha():
+        if token not in state:
+            raise c.OracleError(f"unknown register {token!r}")
+        return state[token]
+    if token == "(":
+        value = _oracle_eval_sum(cur, state)
+        cur.expect(")")
+        return value
+    raise cur.fail(f"unexpected {token!r}")
+
+
+def oracle_eval_register_expr(text: str, state: Mapping[str, int]) -> int:
+    """The register-expression evaluator by recursive descent; too deep
+    an input raises RecursionError."""
+    cur = OracleCursor(_EXPR_TOKENS, text, _expr_error)
+    value = _oracle_eval_sum(cur, state)
+    cur.finish()
+    return value
+
+
+def oracle_render_sc(e: c.SclExpr) -> str:
+    """``render_sc`` built recursively."""
+    if isinstance(e, c.SclTrue):
+        return "true"
+    if isinstance(e, c.SclFalse):
+        return "false"
+    if isinstance(e, c.SclAtom):
+        if e.atom.name in _KEYWORDS:
+            return f'"{e.atom.name}"'
+        return c.format_atom(e.atom)
+    if isinstance(e, c.SclNot):
+        inner = oracle_render_sc(e.operand)
+        if isinstance(e.operand, (c.SclAnd, c.SclOr)):
+            inner = f"({inner})"
+        return f"!{inner}"
+    if isinstance(e, c.SclAnd):
+        left = oracle_render_sc(e.left)
+        if isinstance(e.left, c.SclOr):
+            left = f"({left})"
+        right = oracle_render_sc(e.right)
+        if isinstance(e.right, (c.SclAnd, c.SclOr)):
+            right = f"({right})"
+        return f"{left} && {right}"
+    left = oracle_render_sc(e.left)
+    right = oracle_render_sc(e.right)
+    if isinstance(e.right, c.SclOr):
+        right = f"({right})"
+    return f"{left} || {right}"
+
+
+def oracle_desugar(e: c.SclExpr, atoms: dict[str, c.AtomTerm]) -> c.Term:
+    """``shortcircuit._desugar`` built recursively: one ``AtomTerm`` per
+    atom name, kept in ``atoms``."""
+    if isinstance(e, c.SclAnd):
+        return c.Cond(oracle_desugar(e.right, atoms), oracle_desugar(e.left, atoms), c.FALSE)
+    if isinstance(e, c.SclOr):
+        return c.Cond(c.TRUE, oracle_desugar(e.left, atoms), oracle_desugar(e.right, atoms))
+    if isinstance(e, c.SclAtom):
+        term = atoms.get(e.atom.name)
+        if term is None:
+            term = atoms[e.atom.name] = c.AtomTerm(e.atom)
+        return term
+    if isinstance(e, c.SclNot):
+        return c.Cond(c.FALSE, oracle_desugar(e.operand, atoms), c.TRUE)
+    return c.TRUE if isinstance(e, c.SclTrue) else c.FALSE
+
+
+def oracle_se(t: c.Term, kt: c.EvalTree, kf: c.EvalTree) -> c.EvalTree:
+    """``evaltrees._se`` built recursively: the branches' trees are built
+    onto kt and kf and become the condition's continuations."""
+    if isinstance(t, c.Cond):
+        return oracle_se(t.condition, oracle_se(t.true_branch, kt, kf), oracle_se(t.false_branch, kt, kf))
+    if isinstance(t, c.AtomTerm):
+        return c.Node(t.atom, kt, kf)
+    return kt if isinstance(t, c.TrueConst) else kf
+
+
+def oracle_bf(t: c.Term, kt: tuple[c.Term, int], kf: tuple[c.Term, int]) -> tuple[c.Term, int]:
+    """``normalform._bf`` built recursively, on (form, size) pairs."""
+    if isinstance(t, c.Cond):
+        return oracle_bf(t.condition, oracle_bf(t.true_branch, kt, kf), oracle_bf(t.false_branch, kt, kf))
+    if isinstance(t, c.AtomTerm):
+        return c.Cond(kt[0], t, kf[0]), 1 + kt[1] + kf[1]
+    return kt if isinstance(t, c.TrueConst) else kf
+
+
+def oracle_store_se(t, kt, kf, nodes: dict, built: dict, pool_conds: set) -> c.EvalTree:
+    """``congruence._store_se`` built recursively: hash-consed in
+    ``nodes``, memoized in ``built`` for the conditionals in
+    ``pool_conds``."""
+    if isinstance(t, c.Cond):
+        key = (id(t), id(kt), id(kf))
+        x = built.get(key)
+        if x is None:
+            left = oracle_store_se(t.true_branch, kt, kf, nodes, built, pool_conds)
+            right = oracle_store_se(t.false_branch, kt, kf, nodes, built, pool_conds)
+            x = oracle_store_se(t.condition, left, right, nodes, built, pool_conds)
+            if key[0] in pool_conds:
+                built[key] = x
+        return x
+    if isinstance(t, c.AtomTerm):
+        key = (t.atom.name, id(kt), id(kf))
+        x = nodes.get(key)
+        if x is None:
+            x = nodes[key] = c.Node(t.atom, kt, kf)
+        return x
+    return kt if isinstance(t, c.TrueConst) else kf
+
+
+def oracle_memorize_tree(x: c.EvalTree, answers: dict[str, bool]) -> c.EvalTree:
+    """``treetransform._memorize`` built recursively: mem of ``x`` below
+    the queries already answered, restoring ``answers`` on return."""
+    while isinstance(x, c.Node) and x.atom.name in answers:
+        x = x.left if answers[x.atom.name] else x.right
+    if not isinstance(x, c.Node):
+        return x
+    name = x.atom.name
+    answers[name] = True
+    left = oracle_memorize_tree(x.left, answers)
+    answers[name] = False
+    right = oracle_memorize_tree(x.right, answers)
+    del answers[name]
+    if left is x.left and right is x.right:
+        return x
+    return c.Node(x.atom, left, right)
+
+
+def oracle_memorize_form(p: c.Term, answers: dict[str, bool], spent: list[int], node_budget: int) -> c.Term:
+    """``normalform._memorize`` built recursively: each call returns one
+    node of the form and is counted in ``spent[0]``."""
+    while isinstance(p, c.Cond) and p.condition.atom.name in answers:
+        p = p.true_branch if answers[p.condition.atom.name] else p.false_branch
+    spent[0] += 1
+    if spent[0] > node_budget:
+        raise _over_budget(node_budget)
+    if not isinstance(p, c.Cond):
+        return p
+    name = p.condition.atom.name
+    answers[name] = True
+    left = oracle_memorize_form(p.true_branch, answers, spent, node_budget)
+    answers[name] = False
+    right = oracle_memorize_form(p.false_branch, answers, spent, node_budget)
+    del answers[name]
+    if left is p.true_branch and right is p.false_branch:
+        return p
+    return c.Cond(left, p.condition, right)
+
+
+def same_objects(x: object, y: object) -> bool:
+    """Whether two DAGs of terms, trees or short-circuit expressions are
+    built alike: equal leaves, and a one-to-one match between their
+    objects that pairs each object's children, so that both share the
+    same subterms the same way."""
+    forward: dict[int, int] = {}
+    backward: dict[int, int] = {}
+    pending = [(x, y)]
+    while pending:
+        a, b = pending.pop()
+        if forward.get(id(a), id(b)) != id(b) or backward.get(id(b), id(a)) != id(a):
+            return False
+        if id(a) in forward:
+            continue
+        forward[id(a)], backward[id(b)] = id(b), id(a)
+        if a.__class__ is not b.__class__:
+            return False
+        kids_a, kids_b = _dag_children(a), _dag_children(b)
+        if kids_a is None:
+            if a != b:
+                return False
+        else:
+            pending += zip(kids_a, kids_b)
+    return True
+
+
+def _dag_children(x: object) -> tuple | None:
+    # The children of an inner object; None for a leaf, atom or constant.
+    if isinstance(x, c.Cond):
+        return (x.true_branch, x.condition, x.false_branch)
+    if isinstance(x, c.Node):
+        return (x.atom, x.left, x.right)
+    if isinstance(x, (c.SclAnd, c.SclOr)):
+        return (x.left, x.right)
+    if isinstance(x, c.SclNot):
+        return (x.operand,)
+    return None
 
 
 def paper_render_tree(x: c.EvalTree) -> str:

@@ -211,6 +211,12 @@ def test_eval_unknown_register(capsys):
     assert "register" in err
 
 
+def test_eval_refuses_a_register_given_twice(capsys):
+    code, out, err = run(capsys, "eval", "--state", "n=0,n=3", '"(n==3)"')
+    assert (code, out) == (2, "")
+    assert err == "condalg: register 'n' is assigned twice\n"
+
+
 # ---------------------------------------------------------------------------
 # check-axioms / witnesses
 # ---------------------------------------------------------------------------
@@ -382,12 +388,12 @@ def test_unwritable_out_file_is_an_input_error(capsys, tmp_path):
     assert str(target) in err
 
 
-def test_too_deep_input_exits_with_the_resource_code(capsys):
-    # 20,000 connectives: desugaring recurses once per connective
+def test_a_20000_connective_chain_desugars(capsys):
     code, out, err = run(capsys, "desugar", " && ".join(["a"] * 20_001))
-    assert code == 3
-    assert out == ""
-    assert err == "condalg: input nested too deeply\n"
+    assert code == 0
+    assert err == ""
+    # ((a && a) && a) ... is a <| (a <| (... (a <| a |> F) ...) |> F) |> F
+    assert out == "a <| (" * 19_999 + "a <| a |> F" + ") |> F" * 19_999 + "\n"
 
 
 def test_an_unmapped_exception_exits_with_the_internal_error_code(capsys, monkeypatch):
@@ -412,12 +418,18 @@ def test_main_restores_the_recursion_limit(capsys):
         sys.setrecursionlimit(before)
 
 
-def test_too_deep_term_exits_with_the_resource_code(capsys):
+def test_a_50000_deep_term_normalizes(capsys):
+    text = "a <| a |> (" * 50_000 + "a <| a |> a" + ")" * 50_000
+    code, out, err = run(capsys, "normalize", "--system", "free", text)
+    assert (code, err) == (0, "")
+    # bf(a <| a |> R) is (T <| a |> F) <| a |> bf(R)
+    a = "(T <| a |> F)"
+    assert out == f"{a} <| a |> (" * 50_000 + f"{a} <| a |> {a}" + ")" * 50_000 + "\n"
+    # With "(a)" innermost, the same depth is a syntax error at its ")".
     text = "a <| a |> (" * 50_000 + "a" + ")" * 50_000
     code, out, err = run(capsys, "normalize", "--system", "free", text)
-    assert code == 3
-    assert out == ""
-    assert err == "condalg: input nested too deeply\n"
+    assert (code, out) == (2, "")
+    assert err == f"condalg: expected '<|', found ')' (at position {11 * 50_000 + 1})\n"
 
 
 def test_equiv_compares_shared_trees_quickly(capsys):

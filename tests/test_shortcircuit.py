@@ -53,9 +53,14 @@ def test_parse_sc_errors(bad):
 @pytest.mark.parametrize(
     "text", ["!" * 5_000 + "a", "(" * 5_000 + "a" + ")" * 5_000], ids=["not", "parens"]
 )
-def test_parse_sc_too_deep_raises_a_typed_error(text):
-    with pytest.raises(c.NestingDepthError, match="^input nested too deeply$"):
-        c.parse_sc(text)
+def test_parse_sc_reads_5000_levels(text):
+    e = c.parse_sc(text)
+    nots = 0
+    while isinstance(e, c.SclNot):
+        nots += 1
+        e = e.operand
+    assert e == SA
+    assert nots == (5_000 if text[0] == "!" else 0)
 
 
 @lru_cache(maxsize=None)
@@ -244,13 +249,11 @@ def test_oracle_refuses_bad_atoms(atom_text):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_too_deep_register_expression_raises_a_typed_error(side):
+def test_a_3000_deep_register_expression_evaluates(side):
     deep = "(" * 3_000 + "n" + ")" * 3_000
     text = f"({deep}==0)" if side == "left" else f"(n=={deep})"
     oracle = c.make_register_oracle({"n": 0})
-    with pytest.raises(c.NestingDepthError, match="^input nested too deeply$"):
-        oracle(c.Atom(text))
-    # a shallower one still evaluates
+    assert oracle(c.Atom(text)) is True
     assert oracle(c.Atom("(" + "(" * 50 + "n" + ")" * 50 + "==0)"))
 
 
@@ -262,6 +265,8 @@ def test_parse_register_state():
         c.parse_register_state("n")
     with pytest.raises(c.OracleError):
         c.parse_register_state("n=x")
+    with pytest.raises(c.OracleError, match="'n'"):
+        c.parse_register_state("n=0,n=3")
 
 
 @pytest.mark.parametrize("value", ["٣", "²", "1_0"])

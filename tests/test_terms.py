@@ -69,10 +69,15 @@ def test_parse_errors(bad):
         p(bad)
 
 
-def test_parse_too_deep_raises_a_typed_error():
-    text = "a <| a |> (" * 5_000 + "a" + ")" * 5_000
-    with pytest.raises(c.NestingDepthError, match="^input nested too deeply$"):
-        c.parse_term(text)
+def test_parse_a_5000_deep_term():
+    text = "a <| a |> (" * 5_000 + "a <| a |> a" + ")" * 5_000
+    t = c.parse_term(text)
+    assert c.depth(t) == 5_001
+    assert c.render_term(t) == text
+    # With "(a)" innermost, the same depth is a syntax error at its ")".
+    with pytest.raises(c.TermSyntaxError) as err:
+        c.parse_term("a <| a |> (" * 5_000 + "a" + ")" * 5_000)
+    assert err.value.position == 11 * 5_000 + 1
 
 
 def test_parse_error_carries_position():
