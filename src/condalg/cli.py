@@ -219,12 +219,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     tag = _TAG_AT_LEVEL[SYSTEM_LEVEL[args.system]]
     kind = CongruenceKind(tag, Sigma(_AXIOM_ALPHABET) if tag == "static" else None)
     reports = check_axioms(args.system, pool, kind)
-    totals: Counter[str] = Counter()
-    failures: Counter[str] = Counter()
-    for report in reports:
-        totals[report.axiom_name] += 1
-        if not report.holds:
-            failures[report.axiom_name] += 1
+    totals = Counter(report.axiom_name for report in reports)
+    failures = Counter(report.axiom_name for report in reports if not report.holds)
     lines = [f"system {args.system} under {kind}: pool of {len(pool)} terms"]
     for name in totals:
         if failures[name]:

@@ -9,7 +9,10 @@ instantiable schemes, a truth-table generator that reads ``p <| q |> r``
 classically as ``(p ∧ q) ∨ (¬q ∧ r)``, and the built-in witnesses
 separating the congruence lattice's adjacent levels.  Truth tables are
 bit-parallel: the term is folded once into integers holding one bit per
-row.
+row.  ``check_axioms`` builds each law once, as steps that graft the
+trees of the terms substituted for its variables, by the paper's law
+for the tree of ``P <| Q |> R``: Q's tree with P's tree at its T leaves
+and R's at its F leaves.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import CondAlgError, InstanceBudgetError
-from .evaltrees import LEAF_F, LEAF_T, EvalTree, Node, same_tree, se
-from .normalform import bf, cbf, check_alphabet, e_sigma, mbf, rpbf, sbf
+from .evaltrees import LEAF_F, LEAF_T, EvalTree, Node, same_tree, se, tree_children
+from .normalform import bf, cbf, check_alphabet, check_static_budget, mbf, rpbf, sbf
 from .terms import (
     Atom,
     AtomTerm,
@@ -29,7 +32,6 @@ from .terms import (
     Sigma,
     TRUE,
     Term,
-    TrueConst,
     alphabet,
     fold,
     format_atom,
@@ -37,7 +39,7 @@ from .terms import (
     iter_atoms_sorted,
     term_children,
 )
-from .treetransform import cr, cse, mem, mse, rp, rpse, sse
+from .treetransform import cr, cse, mem, mse, order_prefix, rp, rpse, sse
 
 MAX_SIGMA_FOR_TABLES = 16
 
@@ -377,145 +379,62 @@ def check_instance_budget(
             )
 
 
-def _store_se(
-    t: Term, kt: EvalTree, kf: EvalTree, nodes: dict, built: dict, pool_conds: set
-) -> EvalTree:
-    # ``_se(t, kt, kf)`` in a ``_tree_store``: hash-consed in ``nodes``,
-    # and memoized in ``built`` for the conditionals in ``pool_conds``.
-    # Any conditional is looked up in ``built``: the pool's, the only ones
-    # stored, stay alive for the call, so no other object has their
-    # ``id``.
-    #
-    # Without recursion, as ``_se``: a branch that is a constant, an atom
-    # or found in ``built`` is resolved in place, and the condition is the
-    # next step.  ``stack`` holds, innermost last, (conditional, kt, kf)
-    # while its true branch is built, (condition, true branch's tree,
-    # None) while its false branch is, and (None, key, None) for a pool
-    # conditional whose tree, once built, goes into ``built`` under ``key``.
-    # ``missed`` is the key of a branch just looked up in ``built`` in vain.
-    stack: list[tuple] = []
-    missed = None
-    while True:
-        cls = t.__class__
-        if cls is Cond:
-            if missed is None:
-                key = (id(t), id(kt), id(kf))
-                x = built.get(key)
-            else:
-                key, missed, x = missed, None, None
-        elif cls is AtomTerm:
-            key = (t.atom.name, id(kt), id(kf))
-            x = nodes.get(key)
-            if x is None:
-                x = nodes[key] = Node(t.atom, kt, kf)
-        else:
-            x = kt if cls is TrueConst else kf
-        if x is None:  # a conditional not in ``built``
-            if key[0] in pool_conds:
-                stack.append((None, key, None))
-            p = t.true_branch
-            cls = p.__class__
-            if cls is Cond:
-                missed = (id(p), id(kt), id(kf))
-                left = built.get(missed)
-                if left is None:
-                    stack.append((t, kt, kf))
-                    t = p
-                    continue
-                missed = None
-            elif cls is AtomTerm:
-                pkey = (p.atom.name, id(kt), id(kf))
-                left = nodes.get(pkey)
-                if left is None:
-                    left = nodes[pkey] = Node(p.atom, kt, kf)
-            else:
-                left = kt if cls is TrueConst else kf
-        else:
-            if not stack:
-                return x
-            t, kt, kf = stack.pop()
-            while t is None:
-                built[kt] = x
-                if not stack:
-                    return x
-                t, kt, kf = stack.pop()
-            if kf is None:
-                kf = x
+def _graft(x: EvalTree, kt: EvalTree, kf: EvalTree, nodes: dict, grafted: dict) -> EvalTree:
+    # ``x`` with its T leaves replaced by ``kt`` and its F leaves by
+    # ``kf``, hash-consed in ``nodes`` on (atom name, id(left), id(right))
+    # and memoized in ``grafted`` on (id(x), id(kt), id(kf)) for every
+    # object of ``x``, leaves included.  Without recursion: ``stack``
+    # holds the nodes of ``x`` waiting on a branch, innermost last.
+    if x.__class__ is not Node:
+        return kt if x.value else kf
+    ikt, ikf = id(kt), id(kf)
+    root = (id(x), ikt, ikf)
+    if root not in grafted:
+        grafted[id(LEAF_T), ikt, ikf] = kt
+        grafted[id(LEAF_F), ikt, ikf] = kf
+        stack = [x]
+        while stack:
+            x = stack[-1]
+            left = grafted.get((id(x.left), ikt, ikf))
+            right = grafted.get((id(x.right), ikt, ikf))
+            if left is None or right is None:
+                stack.append(x.left if left is None else x.right)
                 continue
-            left = x
-        r = t.false_branch
-        cls = r.__class__
-        if cls is Cond:
-            missed = (id(r), id(kt), id(kf))
-            right = built.get(missed)
-            if right is None:
-                stack.append((t.condition, left, None))
-                t = r
-                continue
-            missed = None
-        elif cls is AtomTerm:
-            rkey = (r.atom.name, id(kt), id(kf))
-            right = nodes.get(rkey)
-            if right is None:
-                right = nodes[rkey] = Node(r.atom, kt, kf)
-        else:
-            right = kt if cls is TrueConst else kf
-        kt, kf = left, right
-        t = t.condition
+            stack.pop()
+            key = (x.atom.name, id(left), id(right))
+            y = nodes.get(key)
+            if y is None:
+                y = nodes[key] = Node(x.atom, left, right)
+            grafted[id(x), ikt, ikf] = y
+    return grafted[root]
 
 
-# The transforms ``_tree_store`` applies, looked up by tag when a store is
-# made; a dict of the module's functions, so rebinding one reaches it too.
+def _template(scheme: AxiomScheme) -> tuple[list[tuple[int, int, int]], int, int]:
+    # The steps building an instance's two trees from slots holding T,
+    # F, e_sigma's tree, the atom's and the variables' trees, in order:
+    # step (x, t, f) fills the next slot with the graft of slot x onto
+    # slots t and f.  The law is built on placeholder atoms named by their
+    # slots, so in a side's tree a placeholder's node is such a graft.
+    fixed = 4 + scheme.arity()
+    order, atom, *values = (AtomTerm(Atom(str(k))) for k in range(2, fixed))
+    prefix = (order,) * scheme.needs_sigma + (atom,) * scheme.needs_atom
+    steps: list[tuple[int, int, int]] = []
+
+    def step(x: EvalTree, kids: list[int]) -> int:
+        if not kids:
+            return 0 if x.value else 1
+        if kids == [0, 1]:  # a slot grafted onto T and F is itself
+            return int(x.atom.name)
+        steps.append((int(x.atom.name), kids[0], kids[1]))
+        return fixed + len(steps) - 1
+
+    lhs, rhs = (fold(se(side), tree_children, step) for side in scheme.build(*prefix, *values))
+    return steps, lhs, rhs
+
+
+# The transforms check_axioms applies, looked up by tag on each call; a
+# dict of the module's functions, so rebinding one reaches it too.
 _STORE_TRANSFORMS = {"rp": rp, "cr": cr, "mem": mem}
-
-
-def _tree_store(pool: tuple[Term, ...], kind: CongruenceKind) -> Callable[[Term], EvalTree]:
-    # The tree whose equality decides ``kind``, for every instance side of
-    # one check_axioms call, built from tables that live as long as the
-    # call: a unique table, so that equal trees built here are one object;
-    # a memo of ``se`` under continuations for the pool's conditionals; and
-    # the transform of each distinct tree.  Only the pool's objects are
-    # memoized: the conditionals a scheme builds are dropped after their
-    # instance, and a later object may reuse their ``id``.
-    nodes: dict[tuple[str, int, int], Node] = {}  # (atom name, id(kt), id(kf))
-    built: dict[tuple[int, int, int], EvalTree] = {}  # (id(t), id(kt), id(kf))
-    transformed: dict[int, EvalTree] = {}  # id of a tree built here
-    pool_conds: set[int] = set()
-    pending = list(pool)
-    while pending:
-        t = pending.pop()
-        if t.__class__ is Cond and id(t) not in pool_conds:
-            pool_conds.add(id(t))
-            pending += (t.true_branch, t.condition, t.false_branch)
-
-    if kind.tag == "free":
-        return lambda t: _store_se(t, LEAF_T, LEAF_F, nodes, built, pool_conds)
-    if kind.sigma is not None:
-        atoms = kind.sigma.atoms
-
-        # sse(sigma, t) is mem(se(T <| e_sigma |> t)), and the tree of
-        # T <| e_sigma |> t is se(t) under one Node(a, x, x) per atom a of
-        # sigma, in order; hash-consed here like every other node.
-        def transform(x: EvalTree) -> EvalTree:
-            for a in atoms:
-                key = (a.name, id(x), id(x))
-                y = nodes.get(key)
-                if y is None:
-                    y = nodes[key] = Node(a, x, x)
-                x = y
-            return mem(x)
-
-    else:
-        transform = _STORE_TRANSFORMS[kind.tag]
-
-    def tree(t: Term) -> EvalTree:
-        x = _store_se(t, LEAF_T, LEAF_F, nodes, built, pool_conds)
-        out = transformed.get(id(x))
-        if out is None:
-            out = transformed[id(x)] = transform(x)
-        return out
-
-    return tree
 
 
 def check_axioms(
@@ -530,48 +449,74 @@ def check_axioms(
     pool's alphabet) and record whether each instance holds under ``kind``.
 
     Decides each instance as ``equivalent`` does, by comparing transformed
-    evaluation trees, but every instance of the call shares one store
-    private to the call: equal trees built in it are one object, each
-    pool term's tree under given continuations is built once, and each
-    distinct tree is transformed once.  The pool's alphabet is checked
-    against a static kind's order once, not per instance.
+    evaluation trees, built by the paper's law: the tree of ``P <| Q |>
+    R`` is Q's with its T leaves replaced by P's tree and its F leaves by
+    R's.  Each law is built once, on placeholders, into steps that graft
+    its variables' trees, and an instance runs them on its pool terms'
+    trees, each built once.  All trees of the call live in one store
+    private to it: equal trees are one object, each graft is made once
+    and each distinct tree is transformed once.  The pool's alphabet is
+    checked against a static kind's order once, not per instance.
 
     Raises InstanceBudgetError naming the first law whose cross-product
-    would exceed ``instance_budget``, before any instance is checked.
+    would exceed ``instance_budget``, before any instance is checked, and
+    NodeBudgetError if a static kind's trees would exceed
+    ``DEFAULT_NODE_BUDGET`` nodes counted as a tree.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown axiom system: {system!r}")
     if not pool:
         raise ValueError("substitution pool must be nonempty")
     pool = tuple(pool)
-    pool_atoms = iter_atoms_sorted(
-        {a for term in pool for a in alphabet(term)}
-    )
+    pool_atoms = iter_atoms_sorted({a for term in pool for a in alphabet(term)})
     check_instance_budget(system, len(pool), len(pool_atoms), instance_budget)
+    nodes: dict[tuple[str, int, int], Node] = {}  # (atom name, id(left), id(right))
+    grafted: dict[tuple[int, int, int], EvalTree] = {}  # (id(x), id(kt), id(kf))
+    transformed: dict[int, EvalTree] = {}  # id of a tree alive for the call
     if kind.sigma is None:
         sigma = Sigma(tuple(pool_atoms))
+        transform = _STORE_TRANSFORMS.get(kind.tag)
     else:
         sigma = kind.sigma
         for term in pool:
             check_alphabet(term, sigma, "check_axioms")
-    order = e_sigma(sigma)
-    tree = _tree_store(pool, kind)
+        check_static_budget(sigma, "static tree")
+
+        def transform(x: EvalTree) -> EvalTree:
+            return mem(order_prefix(sigma, x))
+
+    # The trees of the pool's terms and atoms, interned by a graft onto T
+    # and F; ``raw`` keeps alive the trees ``se`` built, whose ids are
+    # keys of ``grafted``.
+    atoms = tuple(AtomTerm(a) for a in pool_atoms)
+    raw = [se(term) for term in pool + atoms]
+    trees = [_graft(x, LEAF_T, LEAF_F, nodes, grafted) for x in raw]
+    pool_trees, atom_trees = trees[: len(pool)], trees[len(pool) :]
+    order = order_prefix(sigma, LEAF_F)
 
     reports: list[AxiomInstanceReport] = []
     for name in SYSTEMS[system]:
         scheme = AXIOMS[name]
-        atom_choices: list[tuple] = [()]
+        steps, lhs, rhs = _template(scheme)
+        choices = [((), LEAF_F)]  # (the atom's substitution, its tree)
         if scheme.needs_atom:
-            atom_choices = [(AtomTerm(a),) for a in pool_atoms]
-        order_prefix: tuple = (order,) if scheme.needs_sigma else ()
-        for atom_args in atom_choices:
-            for values in itertools.product(pool, repeat=scheme.arity()):
-                lhs, rhs = scheme.build(*order_prefix, *atom_args, *values)
-                holds = same_tree(tree(lhs), tree(rhs))
-                substitution = tuple(zip(scheme.variables, values))
-                if atom_args:
-                    substitution = (("a", atom_args[0]),) + substitution
-                reports.append(AxiomInstanceReport(name, substitution, holds))
+            choices = [((("a", a),), x) for a, x in zip(atoms, atom_trees)]
+        for bound_atom, atom_tree in choices:
+            for values, value_trees in zip(
+                itertools.product(pool, repeat=scheme.arity()),
+                itertools.product(pool_trees, repeat=scheme.arity()),
+            ):
+                slots = [LEAF_T, LEAF_F, order, atom_tree, *value_trees]
+                for x, t, f in steps:
+                    slots.append(_graft(slots[x], slots[t], slots[f], nodes, grafted))
+                x, y = slots[lhs], slots[rhs]
+                if transform is not None:
+                    for z in (x, y):
+                        if id(z) not in transformed:
+                            transformed[id(z)] = transform(z)
+                    x, y = transformed[id(x)], transformed[id(y)]
+                substitution = bound_atom + tuple(zip(scheme.variables, values))
+                reports.append(AxiomInstanceReport(name, substitution, same_tree(x, y)))
     return reports
 
 

@@ -42,7 +42,7 @@ class Leaf:
         return "T" if self.value else "F"
 
 
-@frozen(init=False)
+@frozen(init=False, deep=True)
 class Node:
     """Post-conditional composition: left branch on true, right on false."""
 
@@ -177,13 +177,10 @@ def evaluations(x: EvalTree) -> list[Evaluation]:
 
 
 def same_tree(x: EvalTree, y: EvalTree) -> bool:
-    """Whether two evaluation trees are equal, as ``x == y``.
-
-    Trees built by ``se`` and the transforms share subtrees, and ``==``
-    walks them as trees, which can take exponentially long.  This walk
-    stops at identical objects and compares each pair of objects once, so
-    it takes time linear in the pairs of shared nodes it meets.
-    """
+    """Whether two evaluation trees are equal, as ``x == y``: a walk
+    that stops at identical objects and compares each pair of objects
+    once, so it takes time linear in the pairs of shared nodes it meets,
+    however large the trees are counted as trees."""
     seen: set[tuple[int, int]] = set()
     pending: list[tuple[EvalTree, EvalTree]] = []
     while True:

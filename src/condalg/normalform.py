@@ -135,8 +135,8 @@ def subst_tf(p: Term, for_true: Term, for_false: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _over_budget(node_budget: int) -> NodeBudgetError:
-    return NodeBudgetError(f"normal form exceeds the node budget of {node_budget}")
+def _over_budget(node_budget: int, what: str = "normal form") -> NodeBudgetError:
+    return NodeBudgetError(f"{what} exceeds the node budget of {node_budget}")
 
 
 def _reduce_once(p: Term, run: Callable[[bool, Cond, dict], Term], node_budget: int) -> Term:
@@ -391,6 +391,14 @@ def check_alphabet(t: Term, sigma: Sigma, func: str) -> None:
         )
 
 
+def check_static_budget(sigma: Sigma, what: str, node_budget: int = DEFAULT_NODE_BUDGET) -> None:
+    """Raise NodeBudgetError if the static tree or form over ``sigma``
+    exceeds ``node_budget``.  Either is the full binary tree over sigma,
+    2^(|sigma|+1) - 1 nodes counted as a tree, whatever the term."""
+    if (2 << len(sigma)) - 1 > node_budget:
+        raise _over_budget(node_budget, what)
+
+
 def sbf(sigma: Sigma, t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Static normal form of a term over the evaluation order ``sigma``:
     a full binary tree layered in reverse-``sigma`` order.
@@ -400,11 +408,13 @@ def sbf(sigma: Sigma, t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ter
     the basic form of that prefix is ``bf(t)`` under a chain of
     ``Q <| a |> Q``, one per atom ``a`` of ``sigma`` in order: built here
     as |sigma| objects, then memorized.  Only the memorizing form,
-    counted as a tree, is bounded by ``node_budget``.
+    counted as a tree, is bounded by ``node_budget``, and an order too
+    wide for it is refused before anything is built.
 
     Every atom of the term must occur in ``sigma``.
     """
     check_alphabet(t, sigma, "sbf")
+    check_static_budget(sigma, "normal form", node_budget)
     form = _bf(t, (TRUE, 0), (FALSE, 0))[0]
     for a in sigma.atoms:
         form = Cond(form, AtomTerm(a), form)

@@ -51,7 +51,7 @@ class SclAtom:
         return render_sc(self)
 
 
-@frozen
+@frozen(deep=True)
 class SclNot:
     operand: "SclExpr"
 
@@ -59,7 +59,7 @@ class SclNot:
         return render_sc(self)
 
 
-@frozen
+@frozen(deep=True)
 class SclAnd:
     left: "SclExpr"
     right: "SclExpr"
@@ -68,7 +68,7 @@ class SclAnd:
         return render_sc(self)
 
 
-@frozen
+@frozen(deep=True)
 class SclOr:
     left: "SclExpr"
     right: "SclExpr"

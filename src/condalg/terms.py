@@ -20,7 +20,7 @@ parent once and reuses it, and keeps no other object's text.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -29,15 +29,23 @@ from .errors import DuplicateAtomError, TermSyntaxError
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
-def frozen(cls=None, /, *, init: bool = True):
+def frozen(cls=None, /, *, init: bool = True, deep: bool = False):
     """``dataclass(frozen=True, slots=True, init=init)``, whose instances
     raise FrozenInstanceError on setting or deleting any name.  (The
     methods dataclasses generates raise TypeError for a name that is not
-    a field once ``slots=True`` has rebuilt the class.)"""
+    a field once ``slots=True`` has rebuilt the class.)
+
+    A ``deep`` class, whose fields hold objects of such classes, gets the
+    ``==`` and ``hash`` dataclasses generate, on its fields in order, but
+    without recursion: any depth compares at the default recursion limit."""
 
     def make(cls):
         cls = dataclass(frozen=True, slots=True, init=init)(cls)
         cls.__setattr__ = cls.__delattr__ = _refuse_change
+        if deep:
+            get = attrgetter(*(f.name for f in fields(cls)))
+            _FIELDS[cls] = get if len(fields(cls)) > 1 else lambda x: (get(x),)
+            cls.__eq__, cls.__hash__ = _equal, _hash
         return cls
 
     return make if cls is None else make(cls)
@@ -45,6 +53,42 @@ def frozen(cls=None, /, *, init: bool = True):
 
 def _refuse_change(self, name, *value):
     raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+_FIELDS: dict[type, Callable] = {}  # deep class -> the tuple of an instance's fields
+
+
+def _fields(x: object) -> tuple:
+    get = _FIELDS.get(x.__class__)
+    return get(x) if get is not None else ()
+
+
+def _equal(x: object, y: object) -> bool:
+    # ``x == y`` for deep objects: like ``same_tree``, a walk over pairs
+    # of objects that stops at identical ones and compares each pair once.
+    if y.__class__ is not x.__class__:
+        return NotImplemented
+    seen: set[tuple[int, int]] = set()
+    pending = [(x, y)]
+    while pending:
+        x, y = pending.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if y.__class__ is not x.__class__ or x.__class__ not in _FIELDS and x != y:
+            return False
+        pending += zip(_fields(x), _fields(y))
+    return True
+
+
+class _Hashed(int):
+    __hash__ = int.__int__  # a tuple of hashes hashes as the tuple of their objects
+
+
+def _hash(x: object) -> int:
+    # ``hash`` of a deep object's fields as a tuple, folded up from its
+    # leaves, each distinct object once.
+    return int(fold(x, _fields, lambda y, kids: _Hashed(hash(tuple(kids)) if kids else hash(y))))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +192,7 @@ class AtomTerm:
         return format_atom(self.atom)
 
 
-@frozen(init=False)
+@frozen(init=False, deep=True)
 class Cond:
     """The conditional ``true_branch <| condition |> false_branch``."""
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .evaltrees import EvalTree, Node, se
-from .normalform import check_alphabet
+from .normalform import check_alphabet, check_static_budget
 from .terms import Sigma, Term
 
 
@@ -228,21 +228,28 @@ def mse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
+def order_prefix(sigma: Sigma, x: EvalTree) -> EvalTree:
+    """``x`` under one ``Node(a, x, x)`` per atom ``a`` of ``sigma``, in
+    order: the tree of ``T <| e_sigma |> t`` for ``x`` that of ``t`` (as
+    ``e_sigma`` has no T leaf, and both branches of each of its levels
+    are one term), and of ``e_sigma`` itself for ``x`` the leaf F."""
+    for a in sigma.atoms:
+        x = Node(a, x, x)
+    return x
+
+
 def sse(sigma: Sigma, t: Term) -> EvalTree:
     """Static evaluation tree of a term over the order ``sigma``: a full
     binary tree with the last atom of ``sigma`` at the root.
 
-    The paper defines it as ``mse(T <| e_sigma |> t)``.  ``e_sigma`` has
-    no T leaf, and at each of its levels both branches are one term, so
-    the tree of that prefix is ``se(t)`` under a chain of ``Node(a, x, x)``,
-    one per atom ``a`` of ``sigma`` in order: built here as |sigma|
-    objects, then memorized.
+    The paper defines it as ``mse(T <| e_sigma |> t)``: built here as
+    ``mem`` of ``order_prefix(sigma, se(t))``.
 
     The output genuinely depends on the order of ``sigma``, not just its
-    atoms; every atom of the term must occur in ``sigma``.
+    atoms; every atom of the term must occur in ``sigma``.  Raises
+    NodeBudgetError, before building anything, if the tree has more than
+    ``DEFAULT_NODE_BUDGET`` nodes counted as a tree.
     """
     check_alphabet(t, sigma, "sse")
-    x = se(t)
-    for a in sigma.atoms:
-        x = Node(a, x, x)
-    return mem(x)
+    check_static_budget(sigma, "static tree")
+    return mem(order_prefix(sigma, se(t)))

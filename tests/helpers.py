@@ -676,29 +676,6 @@ def oracle_bf(t: c.Term, kt: tuple[c.Term, int], kf: tuple[c.Term, int]) -> tupl
     return kt if isinstance(t, c.TrueConst) else kf
 
 
-def oracle_store_se(t, kt, kf, nodes: dict, built: dict, pool_conds: set) -> c.EvalTree:
-    """``congruence._store_se`` built recursively: hash-consed in
-    ``nodes``, memoized in ``built`` for the conditionals in
-    ``pool_conds``."""
-    if isinstance(t, c.Cond):
-        key = (id(t), id(kt), id(kf))
-        x = built.get(key)
-        if x is None:
-            left = oracle_store_se(t.true_branch, kt, kf, nodes, built, pool_conds)
-            right = oracle_store_se(t.false_branch, kt, kf, nodes, built, pool_conds)
-            x = oracle_store_se(t.condition, left, right, nodes, built, pool_conds)
-            if key[0] in pool_conds:
-                built[key] = x
-        return x
-    if isinstance(t, c.AtomTerm):
-        key = (t.atom.name, id(kt), id(kf))
-        x = nodes.get(key)
-        if x is None:
-            x = nodes[key] = c.Node(t.atom, kt, kf)
-        return x
-    return kt if isinstance(t, c.TrueConst) else kf
-
-
 def oracle_memorize_tree(x: c.EvalTree, answers: dict[str, bool]) -> c.EvalTree:
     """``treetransform._memorize`` built recursively: mem of ``x`` below
     the queries already answered, restoring ``answers`` on return."""

@@ -477,6 +477,17 @@ def test_static_normalize_over_a_wide_order_exits_on_the_budget():
     assert done.stderr == "condalg: normal form exceeds the node budget of 1000000\n"
 
 
+def test_static_equiv_over_a_wide_order_exits_on_the_budget():
+    # The static tree over 26 atoms has 2^27 - 1 nodes counted as a tree:
+    # refused before anything is built.
+    sigma = ("--sigma", "abcdefghijklmnopqrstuvwxyz")
+    for argv in (("equiv", "--system", "static", *sigma, "a", "a"), ("tree", "--semantics", "sse", *sigma, "a")):
+        done, seconds = condalg_process(*argv)
+        assert done.returncode == 3
+        assert done.stderr == "condalg: static tree exceeds the node budget of 1000000\n"
+        assert seconds < 5.0
+
+
 def test_rp_decides_and_normalizes_shared_terms_quickly():
     # t_6 is 4.4 KB of text; its rp tree and rp form have about 2^65
     # nodes counted as a tree, over a few hundred objects.

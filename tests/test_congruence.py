@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -428,6 +429,25 @@ def test_check_axioms_frees_its_store_on_return():
             assert gc.collect() == 0, kind
     finally:
         gc.enable()
+
+
+def test_check_axioms_builds_each_law_once_per_call(monkeypatch):
+    # A law is built once, on placeholders; its instances only graft the
+    # pool terms' trees, so no instance builds a term of its own.
+    calls: dict[str, int] = {}
+    for name, scheme in c.AXIOMS.items():
+
+        def counted(*args, name=name, build=scheme.build):
+            calls[name] = calls.get(name, 0) + 1
+            return build(*args)
+
+        monkeypatch.setitem(c.AXIOMS, name, dataclasses.replace(scheme, build=counted))
+    for system, laws in c.SYSTEMS.items():
+        for kind in ALL_KINDS:
+            calls.clear()
+            reports = c.check_axioms(system, (T, TA), kind)
+            assert calls == dict.fromkeys(laws, 1), (system, kind)
+            assert all(sum(r.axiom_name == law for r in reports) > 1 for law in laws)
 
 
 def test_check_axioms_checks_a_static_order_against_the_pool():

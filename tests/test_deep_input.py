@@ -1,10 +1,7 @@
 """The library's walks and parsers are loops: deep input answers at the
 default recursion limit, and each loop builds what the recursive version
-in helpers.py builds.
-
-Deep results are compared with ``same_tree``, ``render_term`` or by
-walking them, never with ``==``: the ``__eq__`` that dataclasses generate
-for ``Cond``, ``Node`` and the short-circuit expressions recurses.
+in helpers.py builds.  So do ``==`` and ``hash`` on ``Cond``, ``Node``
+and the short-circuit expressions.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ import sys
 import pytest
 
 import condalg as c
-from condalg.congruence import _store_se
+from condalg.congruence import _graft
 from condalg.evaltrees import _se
 from condalg.normalform import _bf
 from condalg.normalform import _memorize as memorize_form
@@ -37,7 +34,6 @@ from helpers import (
     oracle_parse_sc,
     oracle_render_sc,
     oracle_se,
-    oracle_store_se,
     random_terms,
     same_objects,
     tree_pool,
@@ -177,22 +173,33 @@ def test_bf_matches_its_oracle():
 
 @pytest.mark.parametrize("pool", [basic_forms_ab(2), TERMS], ids=["forms", "terms"])
 def test_store_se_matches_its_oracle(pool):
-    pool_conds = set()
-    pending = list(pool)
-    while pending:
-        t = pending.pop()
-        if isinstance(t, c.Cond) and id(t) not in pool_conds:
-            pool_conds.add(id(t))
-            pending += (t.true_branch, t.condition, t.false_branch)
-    # Each side gets its own tables, filled by the same sequence of calls:
-    # the pool's terms, then instances of CP4 built from them.
-    tables = ({}, {}), ({}, {})
-    calls = [*pool, *(c.Cond(x, c.Cond(y, x, y), x) for x, y in itertools.product(pool[:12], repeat=2))]
+    # The store builds se of P <| Q |> R by the law check_axioms builds
+    # every instance by: Q's tree with its T leaves replaced by P's tree
+    # and its F leaves by R's.  Grafted bottom-up, that is `se` of the
+    # term, and it is the very object the store interns for that tree.
+    nodes: dict = {}
+    grafted: dict = {}
+    raw = []  # the trees se built, alive while ``grafted`` holds their ids
+
+    def interned(t: c.Term) -> c.EvalTree:
+        raw.append(c.se(t))
+        return _graft(raw[-1], LT, LF, nodes, grafted)
+
+    def store_se(t: c.Term) -> c.EvalTree:
+        if not isinstance(t, c.Cond):
+            return interned(t)
+        return _graft(store_se(t.condition), store_se(t.true_branch), store_se(t.false_branch), nodes, grafted)
+
+    # The pool's terms, then instances of CP4 and conditionals built from them.
+    calls = [
+        *pool,
+        *(c.Cond(x, c.Cond(y, x, y), x) for x, y in itertools.product(pool[:12], repeat=2)),
+        *(c.Cond(p, q, r) for p, q, r in zip(pool, pool[7:] + pool[:7], pool[19:] + pool[:19])),
+    ]
     for t in calls:
-        got = _store_se(t, LT, LF, *tables[0], pool_conds)
-        expected = oracle_store_se(t, LT, LF, *tables[1], pool_conds)
-        assert same_objects(got, expected), t
-    assert [len(table) for table in tables[0]] == [len(table) for table in tables[1]]
+        x = store_se(t)
+        assert c.same_tree(x, c.se(t)), t
+        assert x is interned(t), t
 
 
 def test_memorize_tree_matches_its_oracle():
@@ -299,3 +306,37 @@ def test_parsers_agree_on_random_token_sequences(agree, vocabulary):
 def test_parse_sc_matches_its_oracle_on_rendered_expressions():
     for e in EXPRESSIONS:
         assert_parsers_agree(c.render_sc(e))
+
+
+# ---------------------------------------------------------------------------
+# == and hash at the default recursion limit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chain(2),
+        lambda: c.se(chain(2)),
+        lambda: c.parse_sc("!" * DEEP + "a"),
+        lambda: c.parse_sc(" && ".join(["a"] * DEEP)),
+        lambda: c.parse_sc(" || ".join(["a"] * DEEP)),
+    ],
+    ids=["Cond", "Node", "SclNot", "SclAnd", "SclOr"],
+)
+def test_eq_and_hash_of_deep_objects_built_apart(build):
+    x, y = build(), build()
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+
+
+def test_eq_tells_deep_chains_apart_at_the_bottom():
+    # ``chain(2)`` with b for a at its bottom.
+    x, z = chain(2), TB
+    for _ in range(DEEP):
+        z = c.Cond(T, TA, z)
+    assert x != z and not x == z
+    assert c.se(x) != c.se(z)
+    assert not c.same_tree(c.se(x), c.se(z))

@@ -8,8 +8,9 @@ is an edge to every node the name ``f`` stands for in that module.  Any
 cycle fails the test, named in call order.
 
 The graph cannot see the ``__eq__`` and ``__hash__`` that dataclasses
-generate, which still recurse on deep terms and trees: the tests compare
-deep results with ``same_tree`` or ``render_term``, never with ``==``.
+generate.  The classes whose fields nest (``Cond``, ``Node`` and the
+short-circuit expressions) replace both with loops, which
+tests/test_deep_input.py runs on deep objects.
 """
 
 from __future__ import annotations

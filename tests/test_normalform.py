@@ -427,6 +427,18 @@ def test_sbf_over_a_wide_order_runs_out_of_budget():
         c.sbf(sigma, TA)
 
 
+def test_sbf_budget_is_the_full_tree_over_the_order():
+    # Over 2 atoms the static form has 7 nodes counted as a tree (one per
+    # conditional and per constant), whatever the term; over 19,
+    # 1,048,575, past the default budget.
+    for t in (T, TA, p("F <| b |> (a <| a |> T)")):
+        assert c.is_st_basic_form(c.sbf(SIGMA_AB, t, node_budget=7), SIGMA_AB)
+        with pytest.raises(c.NodeBudgetError, match="^normal form exceeds the node budget of 6$"):
+            c.sbf(SIGMA_AB, t, node_budget=6)
+    with pytest.raises(c.NodeBudgetError):
+        c.sbf(c.Sigma.of(*"abcdefghijklmnopqrs"), TA)
+
+
 def test_memorizing_budget_bounds_the_result_tree_size():
     terms = all_terms_upto(2) + random_terms()
     calls = (

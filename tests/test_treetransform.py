@@ -260,3 +260,19 @@ def test_sse_walks_the_term_not_the_prefix(monkeypatch):
         c.sse(c.Sigma.of(*names), t)
         counts.append(calls)
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("names", ["abcdefghijklmnopqrstuvwxyz", "abcdefghijklmnopqrs"])
+def test_static_tree_over_a_wide_order_is_refused_before_it_is_built(names):
+    # The static tree over n atoms is the full binary tree of 2^(n+1) - 1
+    # nodes counted as a tree: 1,048,575 over 19 atoms, over the default
+    # budget, so sse refuses it at once instead of building it.
+    sigma = c.Sigma.of(*names)
+    with pytest.raises(c.NodeBudgetError, match="^static tree exceeds the node budget of 1000000$"):
+        c.sse(sigma, c.AtomTerm(ATOM_A))
+    with pytest.raises(c.NodeBudgetError):
+        c.equivalent(T, F, c.static(sigma))
+    with pytest.raises(c.NodeBudgetError):
+        c.check_axioms("CPst", (T, F), c.static(sigma))
+    with pytest.raises(c.AlphabetCoverageError):
+        c.sse(sigma, c.atom("z0"))
