@@ -432,11 +432,6 @@ def _template(scheme: AxiomScheme) -> tuple[list[tuple[int, int, int]], int, int
     return steps, lhs, rhs
 
 
-# The transforms check_axioms applies, looked up by tag on each call; a
-# dict of the module's functions, so rebinding one reaches it too.
-_STORE_TRANSFORMS = {"rp": rp, "cr": cr, "mem": mem}
-
-
 def check_axioms(
     system: str,
     pool: Sequence[Term],
@@ -475,7 +470,8 @@ def check_axioms(
     transformed: dict[int, EvalTree] = {}  # id of a tree alive for the call
     if kind.sigma is None:
         sigma = Sigma(tuple(pool_atoms))
-        transform = _STORE_TRANSFORMS.get(kind.tag)
+        # rp, cr or mem, looked up on each call, so rebinding one reaches it.
+        transform = globals()[kind.tag] if kind.tag != "free" else None
     else:
         sigma = kind.sigma
         for term in pool:

@@ -7,8 +7,10 @@ order for the static congruence.
 
 Each post-processing step is, in the paper, a one-sided helper that
 rewrites a branch whose central atom repeats its parent's, applied to
-both branches of every conditional; ``rpf``, ``cf`` and ``mf`` run their
-helper inside one walk.
+both branches of every conditional.  For ``rpf`` and ``cf`` the helper
+only makes a form's result depend on the side of such a parent it hangs
+on, so each is one walk over (form, context) pairs, the context being
+that side or none; ``mf`` is one walk that carries the answers given.
 
 ``bf`` shares subterms, so the objects it builds are linear in the term,
 but counted as a tree a normal form can grow exponentially.  Every
@@ -17,7 +19,7 @@ NodeBudgetError instead of exhausting memory.  The budget bounds the
 normalizer's own result counted as a tree, one node per conditional and
 per constant; ``rpbf``, ``cbf``, ``mbf`` and ``sbf`` bound only that
 result, not the shared basic form before it.  ``rpf`` and ``cf`` (and so
-``rpbf`` and ``cbf``) walk each object of their input once, in time
+``rpbf`` and ``cbf``) do each (object, context) pair once, in time
 linear in the objects of the input plus the shared form they build, and
 work out each result object's size counted as a tree once.  ``mf`` (and
 so ``mbf`` and ``sbf``) is one walk that carries the answers given so far,
@@ -25,8 +27,6 @@ in time proportional to its result counted as a tree.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .errors import AlphabetCoverageError, NodeBudgetError, NotBasicFormError
 from .terms import (
@@ -139,65 +139,79 @@ def _over_budget(node_budget: int, what: str = "normal form") -> NodeBudgetError
     return NodeBudgetError(f"{what} exceeds the node budget of {node_budget}")
 
 
-def _reduce_once(p: Term, run: Callable[[bool, Cond, dict], Term], node_budget: int) -> Term:
-    # The paper's reduction of a basic form: rewrite each branch whose
-    # central atom repeats its parent's with the one-sided helper ``run``
-    # (for the branch's side), then reduce the result.  Without recursion,
-    # and once per object (keyed on ``id``), so a shared form costs its
-    # objects plus the conditionals the helper builds; ``memo`` is the
-    # helper's, for this call only.  Each form's size counted as a tree
-    # (constants 1) is worked out once, and the walk raises as soon as one
-    # exceeds ``node_budget``.  A subform that needs no change is
-    # returned as it is.
+def _reduce(p: Term, repeat: bool, node_budget: int) -> Term:
+    # rpf (``repeat``) or cf of the basic form ``p``: one walk, without
+    # recursion, over (form, context) pairs.  The context is None, or the
+    # side of a parent whose central atom the form repeats.  In context
+    # None a conditional is rebuilt from its branches' results; on a side
+    # it becomes its branch's result on that side, which rpf puts on both
+    # branches of one conditional on its atom (one per atom and result,
+    # from ``unique``).  Each pair is done once, keyed on ``id`` in its
+    # context's table, so a shared form costs its objects, each at most
+    # three times.  Each result's size counted as a tree (constants 1) is
+    # worked out once, and the walk raises as soon as one exceeds
+    # ``node_budget``.  A subform that needs no change is returned as it
+    # is.
     if p.__class__ is not Cond:
         if node_budget < 1:
             raise _over_budget(node_budget)
         return p
-    root = p
-    done: dict[int, Term] = {}  # id of a walked form -> its reduction
-    sizes: dict[int, int] = {}  # id of a reduction -> its size
-    memo: dict = {}
-    stack = [p]
+    done: dict = {None: {}, True: {}, False: {}}  # context -> id -> result
+    sizes: dict[int, int] = {}  # id of a result -> its size
+    unique: dict[tuple[str, int], Cond] = {}  # (atom name, id(q)) -> q <| a |> q
+    stack: list[tuple[Cond, bool | None]] = [(p, None)]
     while stack:
-        p = stack[-1]
+        p, side = stack[-1]
         name = p.condition.atom.name
-        left = p.true_branch
-        if left.__class__ is Cond:
-            if left.condition.atom.name == name:
-                left = run(True, left, memo)
-            new_left = done.get(id(left))
-            if new_left is None:
-                if left.__class__ is Cond:
-                    stack.append(left)
-                else:  # the helper's run ended at a leaf
-                    new_left = left
+        if side is None:
+            new_left = left = p.true_branch
+            if left.__class__ is Cond:
+                at = True if left.condition.atom.name == name else None
+                new_left = done[at].get(id(left))
+                if new_left is None:
+                    stack.append((left, at))
+            new_right = right = p.false_branch
+            if right.__class__ is Cond:
+                at = False if right.condition.atom.name == name else None
+                new_right = done[at].get(id(right))
+                if new_right is None:
+                    stack.append((right, at))
+            if new_left is None or new_right is None:
+                continue
+            stack.pop()
+            if id(p) in done[None]:  # pushed twice
+                continue
+            size = sizes.get(id(new_left), 1) + sizes.get(id(new_right), 1) + 1
+            if size > node_budget:
+                raise _over_budget(node_budget)
+            out = p
+            if new_left is not left or new_right is not right:
+                out = Cond(new_left, p.condition, new_right)
+            sizes[id(out)] = size
         else:
-            new_left = left
-        right = p.false_branch
-        if right.__class__ is Cond:
-            if right.condition.atom.name == name:
-                right = run(False, right, memo)
-            new_right = done.get(id(right))
-            if new_right is None:
-                if right.__class__ is Cond:
-                    stack.append(right)
-                else:  # the helper's run ended at a leaf
-                    new_right = right
-        else:
-            new_right = right
-        if new_left is None or new_right is None:
-            continue
-        stack.pop()
-        size = sizes.get(id(new_left), 1) + sizes.get(id(new_right), 1) + 1
-        if size > node_budget:
-            raise _over_budget(node_budget)
-        if new_left is p.true_branch and new_right is p.false_branch:
-            form = done[id(p)] = p
-        else:
-            # A form pushed twice keeps the reduction made first.
-            form = done.setdefault(id(p), Cond(new_left, p.condition, new_right))
-        sizes[id(form)] = size
-    return done[id(root)]
+            out = q = p.true_branch if side else p.false_branch
+            if q.__class__ is Cond:
+                at = side if q.condition.atom.name == name else None
+                out = done[at].get(id(q))
+                if out is None:
+                    stack.append((q, at))
+                    continue
+            stack.pop()
+            if repeat:
+                size = 2 * sizes.get(id(out), 1) + 1
+                if size > node_budget:
+                    raise _over_budget(node_budget)
+                if p.true_branch is out is p.false_branch:  # so an rpf form is its own
+                    out = p
+                else:
+                    key = (name, id(out))
+                    form = unique.get(key)
+                    if form is None:
+                        form = unique[key] = Cond(out, p.condition, out)
+                    out = form
+                sizes[id(out)] = size
+        done[side][id(p)] = out
+    return out  # the root's, done last
 
 
 # ---------------------------------------------------------------------------
@@ -205,42 +219,8 @@ def _reduce_once(p: Term, run: Callable[[bool, Cond, dict], Term], node_budget: 
 # ---------------------------------------------------------------------------
 
 
-def _rp(side: bool, p: Cond, memo: dict) -> Cond:
-    # rpf's one-sided helper at p's central atom a: down the run of a along
-    # ``side``, then back up, building Q <| a |> Q at each step.  ``memo``
-    # maps (side, id) of each conditional of a run to its result, and is
-    # also the unique table: (atom name, id(Q)) -> the one Q <| a |> Q.
-    # A conditional whose branches both are already Q is its own result,
-    # so a conditional built here, walked again, gives itself back.
-    out = memo.get((side, id(p)))
-    if out is not None:
-        return out
-    name = p.condition.atom.name
-    run = [p]
-    sub = p.true_branch if side else p.false_branch
-    while sub.__class__ is Cond and sub.condition.atom.name == name:
-        out = memo.get((side, id(sub)))
-        if out is not None:
-            break
-        run.append(sub)
-        sub = sub.true_branch if side else sub.false_branch
-    else:
-        out = sub
-    for q in reversed(run):
-        key = (name, id(out))
-        if q.true_branch is out is q.false_branch:
-            memo.setdefault(key, q)
-            form = q
-        else:
-            form = memo.get(key)
-            if form is None:
-                form = memo[key] = Cond(out, q.condition, out)
-        memo[(side, id(q))] = out = form
-    return out
-
-
 def _rpf(p: Term, node_budget: int) -> Term:
-    return _reduce_once(p, _rp, node_budget)
+    return _reduce(p, True, node_budget)
 
 
 def rpf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
@@ -259,30 +239,8 @@ def rpbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _cr(side: bool, p: Cond, memo: dict) -> Term:
-    # cf's one-sided helper at p's central atom a, which strips the run of
-    # a along ``side``; ``memo`` maps (side, id) of each conditional of a
-    # run to where the run ends.
-    out = memo.get((side, id(p)))
-    if out is not None:
-        return out
-    name = p.condition.atom.name
-    run = [p]
-    out = p.true_branch if side else p.false_branch
-    while out.__class__ is Cond and out.condition.atom.name == name:
-        end = memo.get((side, id(out)))
-        if end is not None:
-            out = end
-            break
-        run.append(out)
-        out = out.true_branch if side else out.false_branch
-    for q in run:
-        memo[(side, id(q))] = out
-    return out
-
-
 def _cf(p: Term, node_budget: int) -> Term:
-    return _reduce_once(p, _cr, node_budget)
+    return _reduce(p, False, node_budget)
 
 
 def cf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:

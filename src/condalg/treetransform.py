@@ -13,72 +13,82 @@ congruent exactly when their transformed trees are equal:
 
 The paper defines each transform by a one-sided helper, which rewrites a
 branch whose root repeats its parent's atom, and a walk that applies it
-to both branches of every node.  The trees ``se`` builds share subtrees.
-``rp`` and ``cr`` run their helper inside one walk over each object of
-their input, so their time is linear in the objects of the input plus
-the shared tree they build, however large either is counted as a tree.
+to both branches of every node.  For ``rp`` and ``cr`` the helper only
+makes a node's result depend on the side of such a parent it hangs on,
+so each is one walk over (node, context) pairs, the context being that
+side or none.  The trees ``se`` builds share subtrees, and each pair is
+done once, so their time is linear in the objects of the input plus the
+shared tree they build, however large either is counted as a tree.
 ``mem`` (and so ``mse`` and ``sse``) is one walk that carries the answers
 given so far, in time proportional to its output counted as a tree.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .evaltrees import EvalTree, Node, se
 from .normalform import check_alphabet, check_static_budget
 from .terms import Sigma, Term
 
 
-def _walk_once(x: EvalTree, run: Callable[[bool, Node, dict], EvalTree]) -> EvalTree:
-    # The paper's walk: rewrite each branch whose root repeats the node's
-    # atom with the one-sided helper ``run`` (for the branch's side), then
-    # transform the result.  Without recursion, and once per object (keyed
-    # on ``id``), so a shared tree costs its objects plus the nodes the
-    # helper builds; ``memo`` is the helper's, for this call only.  A
-    # subtree that needs no change is returned as it is.
+def _reduce(x: EvalTree, repeat: bool) -> EvalTree:
+    # rp (``repeat``) or cr of ``x``: one walk, without recursion, over
+    # (node, context) pairs.  The context is None, or the side of a parent
+    # whose atom the node repeats.  In context None a node is rebuilt from
+    # its branches' results; on a side it becomes its branch's result on
+    # that side, which rp puts on both branches of one node of its atom
+    # (one per atom and result, from ``unique``).  Each pair is done once,
+    # keyed on ``id`` in its context's table, so a shared tree costs its
+    # objects, each at most three times.  A subtree that needs no change
+    # is returned as it is.
     if x.__class__ is not Node:
         return x
-    root = x
-    done: dict[int, EvalTree] = {}  # id of a walked node -> its transform
-    memo: dict = {}
-    stack = [x]
+    done: dict = {None: {}, True: {}, False: {}}  # context -> id -> result
+    unique: dict[tuple[str, int], Node] = {}  # (atom name, id(y)) -> Node(a, y, y)
+    stack: list[tuple[Node, bool | None]] = [(x, None)]
     while stack:
-        x = stack[-1]
+        x, side = stack[-1]
         name = x.atom.name
-        left = x.left
-        if left.__class__ is Node:
-            if left.atom.name == name:
-                left = run(True, left, memo)
-            new_left = done.get(id(left))
-            if new_left is None:
-                if left.__class__ is Node:
-                    stack.append(left)
-                else:  # the helper's run ended at a leaf
-                    new_left = left
+        if side is None:
+            new_left = left = x.left
+            if left.__class__ is Node:
+                at = True if left.atom.name == name else None
+                new_left = done[at].get(id(left))
+                if new_left is None:
+                    stack.append((left, at))
+            new_right = right = x.right
+            if right.__class__ is Node:
+                at = False if right.atom.name == name else None
+                new_right = done[at].get(id(right))
+                if new_right is None:
+                    stack.append((right, at))
+            if new_left is None or new_right is None:
+                continue
+            stack.pop()
+            if id(x) in done[None]:  # pushed twice
+                continue
+            out = x
+            if new_left is not left or new_right is not right:
+                out = Node(x.atom, new_left, new_right)
         else:
-            new_left = left
-        right = x.right
-        if right.__class__ is Node:
-            if right.atom.name == name:
-                right = run(False, right, memo)
-            new_right = done.get(id(right))
-            if new_right is None:
-                if right.__class__ is Node:
-                    stack.append(right)
-                else:  # the helper's run ended at a leaf
-                    new_right = right
-        else:
-            new_right = right
-        if new_left is None or new_right is None:
-            continue
-        stack.pop()
-        if new_left is x.left and new_right is x.right:
-            done[id(x)] = x
-        else:
-            # A node pushed twice keeps the transform made first.
-            done.setdefault(id(x), Node(x.atom, new_left, new_right))
-    return done[id(root)]
+            out = y = x.left if side else x.right
+            if y.__class__ is Node:
+                at = side if y.atom.name == name else None
+                out = done[at].get(id(y))
+                if out is None:
+                    stack.append((y, at))
+                    continue
+            stack.pop()
+            if repeat:
+                if x.left is out is x.right:  # so an rp image is its own
+                    out = x
+                else:
+                    key = (name, id(out))
+                    node = unique.get(key)
+                    if node is None:
+                        node = unique[key] = Node(x.atom, out, out)
+                    out = node
+        done[side][id(x)] = out
+    return out  # the root's, done last
 
 
 # ---------------------------------------------------------------------------
@@ -86,43 +96,9 @@ def _walk_once(x: EvalTree, run: Callable[[bool, Node, dict], EvalTree]) -> Eval
 # ---------------------------------------------------------------------------
 
 
-def _rp_run(side: bool, x: Node, memo: dict) -> Node:
-    # rp's one-sided helper at x's atom a: down the run of a along
-    # ``side``, then back up, building Node(a, sub, sub) at each step.
-    # ``memo`` maps (side, id) of each node of a run to its result, and is
-    # also the unique table: (atom name, id(sub)) -> the one Node(a, sub, sub).
-    # A node whose branches both are already ``sub`` is its own result,
-    # so a node built here, walked again, gives itself back.
-    out = memo.get((side, id(x)))
-    if out is not None:
-        return out
-    name = x.atom.name
-    run = [x]
-    sub = x.left if side else x.right
-    while sub.__class__ is Node and sub.atom.name == name:
-        out = memo.get((side, id(sub)))
-        if out is not None:
-            break
-        run.append(sub)
-        sub = sub.left if side else sub.right
-    else:
-        out = sub
-    for y in reversed(run):
-        key = (name, id(out))
-        if y.left is out is y.right:
-            memo.setdefault(key, y)
-            node = y
-        else:
-            node = memo.get(key)
-            if node is None:
-                node = memo[key] = Node(y.atom, out, out)
-        memo[(side, id(y))] = out = node
-    return out
-
-
 def rp(x: EvalTree) -> EvalTree:
     """Repetition-proof transform of an evaluation tree."""
-    return _walk_once(x, _rp_run)
+    return _reduce(x, True)
 
 
 def rpse(t: Term) -> EvalTree:
@@ -135,31 +111,9 @@ def rpse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def _cr_run(side: bool, x: Node, memo: dict) -> EvalTree:
-    # cr's one-sided helper at x's atom, which strips the run of that atom
-    # along ``side``; ``memo`` maps (side, id) of each node of a run to
-    # where the run ends.
-    out = memo.get((side, id(x)))
-    if out is not None:
-        return out
-    name = x.atom.name
-    run = [x]
-    out = x.left if side else x.right
-    while out.__class__ is Node and out.atom.name == name:
-        end = memo.get((side, id(out)))
-        if end is not None:
-            out = end
-            break
-        run.append(out)
-        out = out.left if side else out.right
-    for y in run:
-        memo[(side, id(y))] = out
-    return out
-
-
 def cr(x: EvalTree) -> EvalTree:
     """Contractive transform of an evaluation tree."""
-    return _walk_once(x, _cr_run)
+    return _reduce(x, False)
 
 
 def cse(t: Term) -> EvalTree:

@@ -505,6 +505,23 @@ def test_rp_decides_and_normalizes_shared_terms_quickly():
     assert (done.returncode, done.stdout) == (0, c.render_tree(paper_rp(paper_se(t3))) + "\n")
 
 
+def test_tree_of_a_shared_term_exits_on_the_budget():
+    # se(t_6) and rpse(t_6) are a few hundred objects, but 2^65 - 1 nodes
+    # counted as a tree: tree counts them before writing anything, and
+    # equiv still compares them under every congruence.
+    t6 = c.render_term(condition_nested(6))
+    for semantics in ("se", "rpse"):
+        done, seconds = condalg_process("tree", "--semantics", semantics, t6)
+        assert done.returncode == 3
+        assert done.stderr == (
+            f"condalg: tree would have {2**65 - 1} nodes, exceeding the node budget of 1000000\n"
+        )
+        assert seconds < 1.0
+    for system in (("free",), ("rp",), ("cr",), ("mem",), ("static", "--sigma", "a")):
+        done, _ = condalg_process("equiv", "--system", *system, t6, t6)
+        assert (done.returncode, done.stdout) == (0, "equivalent\n")
+
+
 def test_main_reuses_one_parser(capsys):
     commands = [
         ["normalize", "--system", "static", "--sigma", "ab", "a"],

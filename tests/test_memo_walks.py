@@ -1,11 +1,11 @@
 """The memoized repetition-proof and contractive walks on both routes.
 
-``rp``/``cr`` (evaluation trees) and ``rpf``/``cf`` (basic forms) walk
-each object of their input once.  They are checked against the paper's
-definitions in tests/helpers.py, which walk a shared input as a tree, so
-the shared inputs here stay small enough for those to finish.  Large
-shared results are compared with ``same_tree`` or by identity, never with
-``==``, which would walk them as trees.
+``rp``/``cr`` (evaluation trees) and ``rpf``/``cf`` (basic forms) do
+each (object, context) pair of their input once.  They are checked
+against the paper's definitions in tests/helpers.py, which walk a shared
+input as a tree, so the shared inputs here stay small enough for those
+to finish.  Large shared results are compared with ``same_tree``, ``==``
+(both compare each pair of shared objects once) or by identity.
 """
 
 from __future__ import annotations
@@ -182,3 +182,30 @@ def test_rpbf_and_cbf_budget_boundary_on_shared_terms():
             assert normalize(t, node_budget=n) is not None
             with pytest.raises(c.NodeBudgetError, match=f"normal form exceeds the node budget of {n - 1}$"):
                 normalize(t, node_budget=n - 1)
+
+
+def objects(root, kids, cls) -> int:
+    """The distinct objects of class ``cls`` reachable from ``root``."""
+    found = []
+    fold(root, lambda x: kids(x) or (), lambda x, _: found.append(x.__class__ is cls))
+    return sum(found)
+
+
+def test_outputs_have_at_most_three_objects_per_input_object():
+    # Each (object, context) pair is done once and makes at most one
+    # object, and there are three contexts.
+    terms = [condition_nested(k, base) for k in range(1, 11) for base in (TA, c.Cond(TB, TA, F))]
+    x, p = LT, T
+    for _ in range(RUN):
+        x = c.Node(ATOM_A, x, LF)
+        p = c.Cond(p, TA, F)
+    trees = [c.se(t) for t in terms] + [x]
+    forms = [c.bf(t, node_budget=2**RUN) for t in terms] + [p]
+    for x in trees:
+        n = objects(x, tree_kids, c.Node)
+        for transform in (c.rp, c.cr):
+            assert objects(transform(x), tree_kids, c.Node) <= 3 * n
+    for p in forms:
+        n = objects(p, form_kids, c.Cond)
+        for normalize in (c.rpf, c.cf):
+            assert objects(normalize(p, node_budget=2**(RUN + 1)), form_kids, c.Cond) <= 3 * n
