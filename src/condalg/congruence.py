@@ -4,25 +4,27 @@
 ``normal_form`` exposes the syntactic route.  The two must agree — the
 test suite exercises that agreement exhaustively rather than assuming it.
 
-The module also carries the equational systems (CP and its extensions) as
-instantiable schemes, a truth-table generator that reads ``p <| q |> r``
-classically as ``(p ∧ q) ∨ (¬q ∧ r)``, and the built-in witnesses
-separating the congruence lattice's adjacent levels.  Truth tables are
-bit-parallel: the term is folded once into integers holding one bit per
-row.  ``check_axioms`` builds each law once, as steps that graft the
-trees of the terms substituted for its variables, by the paper's law
-for the tree of ``P <| Q |> R``: Q's tree with P's tree at its T leaves
-and R's at its F leaves.
+The module also carries the equational systems (CP and its extensions),
+each law written as its two sides in the term syntax and parsed once at
+import, a truth-table generator that reads ``p <| q |> r`` classically
+as ``(p ∧ q) ∨ (¬q ∧ r)``, and the built-in witnesses separating the
+congruence lattice's adjacent levels.  Truth tables are bit-parallel:
+the term is folded once into integers holding one bit per row.
+``check_axioms`` compiles each law once per process into steps that
+graft the trees of the terms substituted for its variables, by the
+paper's law for the tree of ``P <| Q |> R``: Q's tree with P's tree at
+its T leaves and R's at its F leaves.  The same law grafts each pool
+term's tree from the term's objects.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import CondAlgError, InstanceBudgetError
-from .evaltrees import LEAF_F, LEAF_T, EvalTree, Node, same_tree, se, tree_children
+from .evaltrees import LEAF_F, LEAF_T, EvalTree, Leaf, Node, same_tree, se, tree_children
 from .normalform import bf, cbf, check_alphabet, check_static_budget, mbf, rpbf, sbf
 from .terms import (
     Atom,
@@ -37,7 +39,9 @@ from .terms import (
     format_atom,
     frozen,
     iter_atoms_sorted,
+    parse_term,
     term_children,
+    TrueConst,
 )
 from .treetransform import cr, cse, mem, mse, order_prefix, rp, rpse, sse
 
@@ -194,134 +198,96 @@ def render_truth_table(table: TruthTable, fmt: str = "text", *, title: str = "va
 # ---------------------------------------------------------------------------
 
 
+# The letters standing for terms in a law's text, in the order its
+# variables are listed and substituted.
+_VARIABLES = "xyzuvw"
+
+
 @dataclass(frozen=True)
 class AxiomScheme:
-    """An equation scheme over term variables, optionally parameterized by
-    an atom (the scheme is instantiated at every atom of the pool) or by
-    the evaluation order of the congruence being checked (``build`` then
-    takes ``e_sigma`` of that order first)."""
+    """An equation scheme: two terms whose atoms x, y, z, u, v and w are
+    its variables, ``a`` ranges over the pool's atoms (the scheme is then
+    instantiated at every one) and ``e`` stands for ``e_sigma`` of the
+    order of the congruence being checked.  ``variables``, ``needs_atom``
+    and ``needs_sigma`` say which of them occur."""
 
     name: str
-    variables: tuple[str, ...]
-    build: Callable[..., tuple[Term, Term]]
-    needs_atom: bool = False
-    needs_sigma: bool = False
+    lhs: Term
+    rhs: Term
+    variables: tuple[str, ...] = field(init=False)
+    needs_atom: bool = field(init=False)
+    needs_sigma: bool = field(init=False)
+    # The graft steps ``check_axioms`` runs per instance (see _template).
+    template: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = {a.name for a in alphabet(self.lhs) | alphabet(self.rhs)}
+        object.__setattr__(self, "variables", tuple(v for v in _VARIABLES if v in names))
+        object.__setattr__(self, "needs_atom", "a" in names)
+        object.__setattr__(self, "needs_sigma", "e" in names)
+        object.__setattr__(self, "template", _template(self))
 
     def arity(self) -> int:
         return len(self.variables)
 
+    def build(self, *values: Term) -> tuple[Term, Term]:
+        """The two sides with ``e`` (if it occurs), ``a`` (likewise) and
+        then the variables replaced by ``values``, in that order."""
+        names = ("e",) * self.needs_sigma + ("a",) * self.needs_atom + self.variables
+        leaves = dict(zip(names, values, strict=True))
 
-def _cp1(x, y):
-    return Cond(x, TRUE, y), x
+        def put(x: Term, kids: list[Term]) -> Term:
+            return Cond(*kids) if kids else leaves[x.atom.name] if x.__class__ is AtomTerm else x
 
-
-def _cp2(x, y):
-    return Cond(x, FALSE, y), y
-
-
-def _cp3(x):
-    return Cond(TRUE, x, FALSE), x
-
-
-def _cp4(x, y, z, u, v):
-    lhs = Cond(x, Cond(y, z, u), v)
-    rhs = Cond(Cond(x, y, v), z, Cond(x, u, v))
-    return lhs, rhs
+        return fold(self.lhs, term_children, put), fold(self.rhs, term_children, put)
 
 
-def _cprp1(a, x, y, z):
-    return Cond(Cond(x, a, y), a, z), Cond(Cond(x, a, x), a, z)
+def _template(scheme: AxiomScheme) -> tuple[list[tuple[int, int, int]], int, int]:
+    # The steps building an instance's two trees from slots holding T,
+    # F, e_sigma's tree, the atom's and the variables' trees, in order:
+    # step (x, t, f) fills the next slot with the graft of slot x onto
+    # slots t and f.  The law's own atoms hold the places of their slots,
+    # so in a side's tree an atom's node is such a graft.
+    slot = dict(zip(("e", "a", *scheme.variables), itertools.count(2)))
+    fixed = 4 + scheme.arity()
+    steps: list[tuple[int, int, int]] = []
+
+    def step(x: EvalTree, kids: list[int]) -> int:
+        if not kids:
+            return 0 if x.value else 1
+        if kids == [0, 1]:  # a slot grafted onto T and F is itself
+            return slot[x.atom.name]
+        steps.append((slot[x.atom.name], kids[0], kids[1]))
+        return fixed + len(steps) - 1
+
+    lhs, rhs = (fold(se(side), tree_children, step) for side in (scheme.lhs, scheme.rhs))
+    return steps, lhs, rhs
 
 
-def _cprp2(a, x, y, z):
-    return Cond(x, a, Cond(y, a, z)), Cond(x, a, Cond(z, a, z))
-
-
-def _cpcr1(a, x, y, z):
-    return Cond(Cond(x, a, y), a, z), Cond(x, a, z)
-
-
-def _cpcr2(a, x, y, z):
-    return Cond(x, a, Cond(y, a, z)), Cond(x, a, z)
-
-
-def _cpmem(x, y, z, u, v, w):
-    lhs = Cond(x, y, Cond(z, u, Cond(v, y, w)))
-    rhs = Cond(x, y, Cond(z, u, w))
-    return lhs, rhs
-
-
-def _cpm1(x, y, z, u, v, w):
-    lhs = Cond(Cond(z, u, Cond(w, y, v)), y, x)
-    rhs = Cond(Cond(z, u, w), y, x)
-    return lhs, rhs
-
-
-def _cpm2(x, y, z, u, v, w):
-    lhs = Cond(x, y, Cond(Cond(v, y, w), u, z))
-    rhs = Cond(x, y, Cond(w, u, z))
-    return lhs, rhs
-
-
-def _cpm3(x, y, z, u, v, w):
-    lhs = Cond(Cond(Cond(w, y, v), u, z), y, x)
-    rhs = Cond(Cond(w, u, z), y, x)
-    return lhs, rhs
-
-
-def _contr1(x, y, v, w):
-    return Cond(x, y, Cond(v, y, w)), Cond(x, y, w)
-
-
-def _contr2(x, y, v, w):
-    return Cond(Cond(w, y, v), y, x), Cond(w, y, x)
-
-
-def _cpstat(x, y, z, u, v):
-    lhs = Cond(Cond(x, y, z), u, v)
-    rhs = Cond(Cond(x, u, v), y, Cond(z, u, v))
-    return lhs, rhs
-
-
-def _cps(x):
-    return Cond(FALSE, x, FALSE), FALSE
-
-
-def _swap(x, y):
-    return Cond(x, y, FALSE), Cond(y, x, FALSE)
-
-
-def _both_branches(x, y):
-    return x, Cond(x, y, x)
-
-
-def _static_prefix(order, x):
-    return x, Cond(TRUE, order, x)
-
-
+# The laws, as their two sides in the term syntax (see AxiomScheme).
 AXIOMS: dict[str, AxiomScheme] = {
-    scheme.name: scheme
-    for scheme in [
-        AxiomScheme("CP1", ("x", "y"), _cp1),
-        AxiomScheme("CP2", ("x", "y"), _cp2),
-        AxiomScheme("CP3", ("x",), _cp3),
-        AxiomScheme("CP4", ("x", "y", "z", "u", "v"), _cp4),
-        AxiomScheme("CPrp1", ("x", "y", "z"), _cprp1, needs_atom=True),
-        AxiomScheme("CPrp2", ("x", "y", "z"), _cprp2, needs_atom=True),
-        AxiomScheme("CPcr1", ("x", "y", "z"), _cpcr1, needs_atom=True),
-        AxiomScheme("CPcr2", ("x", "y", "z"), _cpcr2, needs_atom=True),
-        AxiomScheme("CPmem", ("x", "y", "z", "u", "v", "w"), _cpmem),
-        AxiomScheme("CPm1", ("x", "y", "z", "u", "v", "w"), _cpm1),
-        AxiomScheme("CPm2", ("x", "y", "z", "u", "v", "w"), _cpm2),
-        AxiomScheme("CPm3", ("x", "y", "z", "u", "v", "w"), _cpm3),
-        AxiomScheme("contr1", ("x", "y", "v", "w"), _contr1),
-        AxiomScheme("contr2", ("x", "y", "v", "w"), _contr2),
-        AxiomScheme("CPstat", ("x", "y", "z", "u", "v"), _cpstat),
-        AxiomScheme("CPs", ("x",), _cps),
-        AxiomScheme("swap", ("x", "y"), _swap),
-        AxiomScheme("both-branches", ("x", "y"), _both_branches),
-        AxiomScheme("static-prefix", ("x",), _static_prefix, needs_sigma=True),
-    ]
+    name: AxiomScheme(name, parse_term(lhs), parse_term(rhs))
+    for name, (lhs, rhs) in {
+        "CP1": ("x <| T |> y", "x"),
+        "CP2": ("x <| F |> y", "y"),
+        "CP3": ("T <| x |> F", "x"),
+        "CP4": ("x <| (y <| z |> u) |> v", "(x <| y |> v) <| z |> (x <| u |> v)"),
+        "CPrp1": ("(x <| a |> y) <| a |> z", "(x <| a |> x) <| a |> z"),
+        "CPrp2": ("x <| a |> (y <| a |> z)", "x <| a |> (z <| a |> z)"),
+        "CPcr1": ("(x <| a |> y) <| a |> z", "x <| a |> z"),
+        "CPcr2": ("x <| a |> (y <| a |> z)", "x <| a |> z"),
+        "CPmem": ("x <| y |> (z <| u |> (v <| y |> w))", "x <| y |> (z <| u |> w)"),
+        "CPm1": ("(z <| u |> (w <| y |> v)) <| y |> x", "(z <| u |> w) <| y |> x"),
+        "CPm2": ("x <| y |> ((v <| y |> w) <| u |> z)", "x <| y |> (w <| u |> z)"),
+        "CPm3": ("((w <| y |> v) <| u |> z) <| y |> x", "(w <| u |> z) <| y |> x"),
+        "contr1": ("x <| y |> (v <| y |> w)", "x <| y |> w"),
+        "contr2": ("(w <| y |> v) <| y |> x", "w <| y |> x"),
+        "CPstat": ("(x <| y |> z) <| u |> v", "(x <| u |> v) <| y |> (z <| u |> v)"),
+        "CPs": ("F <| x |> F", "F"),
+        "swap": ("x <| y |> F", "y <| x |> F"),
+        "both-branches": ("x", "x <| y |> x"),
+        "static-prefix": ("x", "T <| e |> x"),
+    }.items()
 }
 
 # Each system lists only the laws it adds; the checker is pointed at any
@@ -379,57 +345,60 @@ def check_instance_budget(
             )
 
 
-def _graft(x: EvalTree, kt: EvalTree, kf: EvalTree, nodes: dict, grafted: dict) -> EvalTree:
-    # ``x`` with its T leaves replaced by ``kt`` and its F leaves by
-    # ``kf``, hash-consed in ``nodes`` on (atom name, id(left), id(right))
-    # and memoized in ``grafted`` on (id(x), id(kt), id(kf)) for every
-    # object of ``x``, leaves included.  Without recursion: ``stack``
-    # holds the nodes of ``x`` waiting on a branch, innermost last.
-    if x.__class__ is not Node:
-        return kt if x.value else kf
+def _graft(x: object, kt: EvalTree, kf: EvalTree, nodes: dict, grafted: dict) -> EvalTree:
+    # ``x``, a tree or a term, with its T leaves replaced by ``kt`` and its
+    # F leaves by ``kf``; a term's T and F count as leaves, an atom as its
+    # node over them, and ``P <| Q |> R`` as Q grafted onto the grafts of
+    # P and R, so a term grafted onto LEAF_T and LEAF_F is its tree.
+    # Hash-consed in ``nodes`` on (atom name, id(left), id(right)) and
+    # memoized in ``grafted`` on (id(x), id(kt), id(kf)) for every object
+    # walked, leaves included.  Without recursion: ``stack`` holds the
+    # (object, kt, kf) grafts waiting on a part, innermost last.
     ikt, ikf = id(kt), id(kf)
     root = (id(x), ikt, ikf)
-    if root not in grafted:
-        grafted[id(LEAF_T), ikt, ikf] = kt
-        grafted[id(LEAF_F), ikt, ikf] = kf
-        stack = [x]
-        while stack:
-            x = stack[-1]
+    y = grafted.get(root)
+    if y is not None:
+        return y
+    grafted[id(LEAF_T), ikt, ikf] = kt
+    grafted[id(LEAF_F), ikt, ikf] = kf
+    stack = [(x, kt, kf)]
+    while stack:
+        x, kt, kf = stack[-1]
+        ikt, ikf = id(kt), id(kf)
+        cls = x.__class__
+        if cls is Node:
             left = grafted.get((id(x.left), ikt, ikf))
             right = grafted.get((id(x.right), ikt, ikf))
             if left is None or right is None:
-                stack.append(x.left if left is None else x.right)
+                stack.append((x.left if left is None else x.right, kt, kf))
+                continue
+            atom = x.atom
+        elif cls is Cond:
+            left = grafted.get((id(x.true_branch), ikt, ikf))
+            right = grafted.get((id(x.false_branch), ikt, ikf))
+            if left is None or right is None:
+                stack.append((x.true_branch if left is None else x.false_branch, kt, kf))
+                continue
+            y = grafted.get((id(x.condition), id(left), id(right)))
+            if y is None:
+                stack.append((x.condition, left, right))
                 continue
             stack.pop()
-            key = (x.atom.name, id(left), id(right))
-            y = nodes.get(key)
-            if y is None:
-                y = nodes[key] = Node(x.atom, left, right)
             grafted[id(x), ikt, ikf] = y
+            continue
+        elif cls is AtomTerm:
+            atom, left, right = x.atom, kt, kf
+        else:
+            stack.pop()
+            grafted[id(x), ikt, ikf] = kt if (x.value if cls is Leaf else cls is TrueConst) else kf
+            continue
+        stack.pop()
+        key = (atom.name, id(left), id(right))
+        y = nodes.get(key)
+        if y is None:
+            y = nodes[key] = Node(atom, left, right)
+        grafted[id(x), ikt, ikf] = y
     return grafted[root]
-
-
-def _template(scheme: AxiomScheme) -> tuple[list[tuple[int, int, int]], int, int]:
-    # The steps building an instance's two trees from slots holding T,
-    # F, e_sigma's tree, the atom's and the variables' trees, in order:
-    # step (x, t, f) fills the next slot with the graft of slot x onto
-    # slots t and f.  The law is built on placeholder atoms named by their
-    # slots, so in a side's tree a placeholder's node is such a graft.
-    fixed = 4 + scheme.arity()
-    order, atom, *values = (AtomTerm(Atom(str(k))) for k in range(2, fixed))
-    prefix = (order,) * scheme.needs_sigma + (atom,) * scheme.needs_atom
-    steps: list[tuple[int, int, int]] = []
-
-    def step(x: EvalTree, kids: list[int]) -> int:
-        if not kids:
-            return 0 if x.value else 1
-        if kids == [0, 1]:  # a slot grafted onto T and F is itself
-            return int(x.atom.name)
-        steps.append((int(x.atom.name), kids[0], kids[1]))
-        return fixed + len(steps) - 1
-
-    lhs, rhs = (fold(se(side), tree_children, step) for side in scheme.build(*prefix, *values))
-    return steps, lhs, rhs
 
 
 def check_axioms(
@@ -446,11 +415,11 @@ def check_axioms(
     Decides each instance as ``equivalent`` does, by comparing transformed
     evaluation trees, built by the paper's law: the tree of ``P <| Q |>
     R`` is Q's with its T leaves replaced by P's tree and its F leaves by
-    R's.  Each law is built once, on placeholders, into steps that graft
+    R's.  Each law is compiled once per process into steps that graft
     its variables' trees, and an instance runs them on its pool terms'
-    trees, each built once.  All trees of the call live in one store
-    private to it: equal trees are one object, each graft is made once
-    and each distinct tree is transformed once.  The pool's alphabet is
+    trees, each grafted once from the term's objects.  All trees of the
+    call live in one store private to it: equal trees are one object,
+    each graft is made once and each distinct tree is transformed once.  The pool's alphabet is
     checked against a static kind's order once, not per instance.
 
     Raises InstanceBudgetError naming the first law whose cross-product
@@ -481,19 +450,18 @@ def check_axioms(
         def transform(x: EvalTree) -> EvalTree:
             return mem(order_prefix(sigma, x))
 
-    # The trees of the pool's terms and atoms, interned by a graft onto T
-    # and F; ``raw`` keeps alive the trees ``se`` built, whose ids are
-    # keys of ``grafted``.
+    # The trees of the pool's terms and atoms, each its graft onto T and
+    # F; ``pool`` and ``atoms`` keep alive the terms whose ids are keys
+    # of ``grafted``.
     atoms = tuple(AtomTerm(a) for a in pool_atoms)
-    raw = [se(term) for term in pool + atoms]
-    trees = [_graft(x, LEAF_T, LEAF_F, nodes, grafted) for x in raw]
-    pool_trees, atom_trees = trees[: len(pool)], trees[len(pool) :]
+    pool_trees = [_graft(term, LEAF_T, LEAF_F, nodes, grafted) for term in pool]
+    atom_trees = [_graft(term, LEAF_T, LEAF_F, nodes, grafted) for term in atoms]
     order = order_prefix(sigma, LEAF_F)
 
     reports: list[AxiomInstanceReport] = []
     for name in SYSTEMS[system]:
         scheme = AXIOMS[name]
-        steps, lhs, rhs = _template(scheme)
+        steps, lhs, rhs = scheme.template
         choices = [((), LEAF_F)]  # (the atom's substitution, its tree)
         if scheme.needs_atom:
             choices = [((("a", a),), x) for a, x in zip(atoms, atom_trees)]

@@ -259,16 +259,19 @@ def cbf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _memorize(p: Term, answers: dict[str, bool], spent: list[int], node_budget: int) -> Term:
-    # The memorizing form of the basic form ``p`` below the queries
-    # ``answers`` (atom name -> answer) already answered, which is
-    # restored on return.  Each node of the form is counted in
-    # ``spent[0]``, which bounds the form counted as a tree.  ``stack``
-    # holds, innermost last, (form, None) while the form's true branch is
-    # walked under its answer True, then (form, true branch's result)
-    # while its false branch is walked under False.
+def _mf(p: Term, node_budget: int) -> Term:
+    # The memorizing form of the basic form ``p``: the paper's reduction,
+    # whose helper resolves every later occurrence of a central atom to the
+    # side taken, in one walk that carries the answers given so far and
+    # skips a repeated central atom to its remembered branch.  ``answers``
+    # maps the central atoms met on the way down to their answers, and
+    # ``count`` counts the result's nodes as a tree.  ``stack`` holds,
+    # innermost last, (form, None) while the form's true branch is walked
+    # under its answer True, then (form, true branch's result) while its
+    # false branch is walked under False.
+    answers: dict[str, bool] = {}
     stack: list[tuple] = []
-    count = spent[0]
+    count = 0
     while True:
         while p.__class__ is Cond:
             answer = answers.get(p.condition.atom.name)
@@ -295,16 +298,7 @@ def _memorize(p: Term, answers: dict[str, bool], spent: list[int], node_budget: 
                 form = Cond(left, form.condition, p)
             p = form
         else:
-            spent[0] = count
             return p
-
-
-def _mf(p: Term, node_budget: int) -> Term:
-    # The memorizing form of the basic form ``p``: the paper's reduction,
-    # whose helper resolves every later occurrence of a central atom to the
-    # side taken, in one walk that carries the answers given so far and
-    # skips a repeated central atom to its remembered branch.
-    return _memorize(p, {}, [0], node_budget)
 
 
 def mf(p: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:

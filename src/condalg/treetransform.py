@@ -126,12 +126,21 @@ def cse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def _memorize(x: EvalTree, answers: dict[str, bool]) -> EvalTree:
-    # mem of ``x`` below the queries ``answers`` (atom name -> answer)
-    # already answered; ``answers`` is restored on return.  ``stack``
-    # holds, innermost last, (node, None) while the node's left subtree is
-    # walked under its answer True, then (node, left subtree's mem) while
-    # its right one is walked under False.
+def mem(x: EvalTree) -> EvalTree:
+    """Memorizing transform of an evaluation tree.
+
+    Equal to the paper's definition, whose one-sided helper resolves every
+    later query of a node's atom to the branch taken, but built in one
+    walk that carries the answers given so far: a query already answered
+    is skipped to the remembered branch.  Time is proportional to the
+    output counted as a tree (plus the skipped queries), and subtrees that
+    need no change are returned as they are.
+    """
+    # ``answers`` maps the atoms queried on the way down to their answers.
+    # ``stack`` holds, innermost last, (node, None) while the node's left
+    # subtree is walked under its answer True, then (node, left subtree's
+    # mem) while its right one is walked under False.
+    answers: dict[str, bool] = {}
     stack: list[tuple] = []
     while True:
         while x.__class__ is Node:
@@ -157,19 +166,6 @@ def _memorize(x: EvalTree, answers: dict[str, bool]) -> EvalTree:
             x = node
         else:
             return x
-
-
-def mem(x: EvalTree) -> EvalTree:
-    """Memorizing transform of an evaluation tree.
-
-    Equal to the paper's definition, whose one-sided helper resolves every
-    later query of a node's atom to the branch taken, but built in one
-    walk that carries the answers given so far: a query already answered
-    is skipped to the remembered branch.  Time is proportional to the
-    output counted as a tree (plus the skipped queries), and subtrees that
-    need no change are returned as they are.
-    """
-    return _memorize(x, {})
 
 
 def mse(t: Term) -> EvalTree:

@@ -677,7 +677,7 @@ def oracle_bf(t: c.Term, kt: tuple[c.Term, int], kf: tuple[c.Term, int]) -> tupl
 
 
 def oracle_memorize_tree(x: c.EvalTree, answers: dict[str, bool]) -> c.EvalTree:
-    """``treetransform._memorize`` built recursively: mem of ``x`` below
+    """``treetransform.mem`` built recursively: mem of ``x`` below
     the queries already answered, restoring ``answers`` on return."""
     while isinstance(x, c.Node) and x.atom.name in answers:
         x = x.left if answers[x.atom.name] else x.right
@@ -695,7 +695,7 @@ def oracle_memorize_tree(x: c.EvalTree, answers: dict[str, bool]) -> c.EvalTree:
 
 
 def oracle_memorize_form(p: c.Term, answers: dict[str, bool], spent: list[int], node_budget: int) -> c.Term:
-    """``normalform._memorize`` built recursively: each call returns one
+    """``normalform._mf`` built recursively: each call returns one
     node of the form and is counted in ``spent[0]``."""
     while isinstance(p, c.Cond) and p.condition.atom.name in answers:
         p = p.true_branch if answers[p.condition.atom.name] else p.false_branch

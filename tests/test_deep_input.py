@@ -15,10 +15,8 @@ import pytest
 import condalg as c
 from condalg.congruence import _graft
 from condalg.evaltrees import _se
-from condalg.normalform import _bf
-from condalg.normalform import _memorize as memorize_form
+from condalg.normalform import _bf, _mf
 from condalg.shortcircuit import _desugar, _eval_register_expr
-from condalg.treetransform import _memorize as memorize_tree
 from helpers import (
     SIGMA_A,
     TA,
@@ -202,29 +200,44 @@ def test_store_se_matches_its_oracle(pool):
         assert x is interned(t), t
 
 
+def test_graft_of_a_term_is_its_tree():
+    # A term grafted onto T and F is its tree, built from the term's
+    # objects, and the very object the store interns for ``se`` of it.
+    nodes: dict = {}
+    grafted: dict = {}
+    shared = TA
+    for _ in range(8):
+        shared = c.Cond(shared, shared, shared)
+    terms = [*TERMS, shared, *(chain(slot, same) for slot in range(3) for same in (True, False))]
+    trees = [c.se(t) for t in terms]  # alive while ``grafted`` holds their ids
+    for t, tree in zip(terms, trees):
+        x = _graft(t, LT, LF, nodes, grafted)
+        assert c.same_tree(x, tree), t
+        assert x is _graft(tree, LT, LF, nodes, grafted), t
+
+
 def test_memorize_tree_matches_its_oracle():
     trees = tree_pool(2) + deep_tree_pool() + tuple(c.se(t) for t in TERMS)
     for x in trees:
-        answers: dict[str, bool] = {}
-        got = memorize_tree(x, answers)
+        got = c.mem(x)
         expected = oracle_memorize_tree(x, {})
         assert same_objects(got, expected), x
         assert (got is x) == (expected is x)
-        assert answers == {}
 
 
 def test_memorize_form_matches_its_oracle():
+    # ``_mf`` answers within a budget of exactly the oracle's node count,
+    # and raises the oracle's error on every budget below it.
     forms = basic_forms_ab(2) + tuple(c.bf(t) for t in TERMS)
     for p in forms:
-        spent, expected_spent = [0], [0]
-        got = memorize_form(p, {}, spent, 10**9)
-        expected = oracle_memorize_form(p, {}, expected_spent, 10**9)
+        spent = [0]
+        expected = oracle_memorize_form(p, {}, spent, 10**9)
+        got = _mf(p, spent[0])
         assert same_objects(got, expected), p
         assert (got is p) == (expected is p)
-        assert spent == expected_spent
-        for budget in range(expected_spent[0]):
+        for budget in range(spent[0]):
             with pytest.raises(c.NodeBudgetError) as err:
-                memorize_form(p, {}, [0], budget)
+                _mf(p, budget)
             with pytest.raises(c.NodeBudgetError) as expected_err:
                 oracle_memorize_form(p, {}, [0], budget)
             assert str(err.value) == str(expected_err.value)
