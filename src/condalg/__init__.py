@@ -9,6 +9,7 @@ for effectful atoms.
 """
 
 from .errors import (
+    DEFAULT_NODE_BUDGET,
     AlphabetCoverageError,
     BudgetError,
     CondAlgError,
@@ -62,7 +63,6 @@ from .evaltrees import (
     tree_to_term,
 )
 from .normalform import (
-    DEFAULT_NODE_BUDGET,
     bf,
     cbf,
     cf,

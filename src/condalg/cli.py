@@ -34,9 +34,8 @@ from .congruence import (
     transformed_tree,
     truth_table,
 )
-from .errors import BudgetError, CondAlgError, NodeBudgetError
+from .errors import DEFAULT_NODE_BUDGET, BudgetError, CondAlgError, NodeBudgetError
 from .evaltrees import evaluate_with_oracle, render_tree, tree_children
-from .normalform import DEFAULT_NODE_BUDGET
 from .shortcircuit import desugar, make_register_oracle, parse_register_state, parse_sc
 from .terms import (
     Atom,
@@ -185,9 +184,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     # Every format writes the tree in full: count it as a tree first.
     size = fold(tree, tree_children, lambda x, sizes: 1 + sum(sizes))
     if size > DEFAULT_NODE_BUDGET:
-        raise NodeBudgetError(
-            f"tree would have {size} nodes, exceeding the node budget of {DEFAULT_NODE_BUDGET}"
-        )
+        raise NodeBudgetError("tree", size, DEFAULT_NODE_BUDGET)
     fmt = "ascii" if args.format == "text" else args.format
     _emit(render_tree(tree, fmt), args.out)
     return 0

@@ -23,9 +23,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import CondAlgError, InstanceBudgetError
+from .errors import CondAlgError, InstanceBudgetError, check_static_budget
 from .evaltrees import LEAF_F, LEAF_T, EvalTree, Leaf, Node, same_tree, se, tree_children
-from .normalform import bf, cbf, check_alphabet, check_static_budget, mbf, rpbf, sbf
+from .normalform import bf, cbf, mbf, rpbf, sbf
 from .terms import (
     Atom,
     AtomTerm,
@@ -35,6 +35,7 @@ from .terms import (
     TRUE,
     Term,
     alphabet,
+    check_alphabet,
     fold,
     format_atom,
     frozen,
@@ -132,13 +133,12 @@ def truth_table(t: Term, sigma: Sigma) -> TruthTable:
     Every row is computed at once: each atom's column is an integer with
     one bit per row, and ``t`` is folded into such integers, ``p <| q |>
     r`` as ``(p & q) | (~q & r)``, each term object once, so the cost does
-    not grow with the condition nesting.
+    not grow with the condition nesting.  The rows are the leaves of the
+    static tree over ``sigma``, and its size is the cap: NodeBudgetError
+    over more than ``MAX_SIGMA_FOR_TABLES`` atoms.
     """
     check_alphabet(t, sigma, "truth_table")
-    if len(sigma) > MAX_SIGMA_FOR_TABLES:
-        raise ValueError(
-            f"truth tables are limited to {MAX_SIGMA_FOR_TABLES} atoms, got {len(sigma)}"
-        )
+    check_static_budget(sigma, "truth_table", (2 << MAX_SIGMA_FOR_TABLES) - 1)
     n = len(sigma)
     full = (1 << (1 << n)) - 1
     columns = {a: _column(j, n, full) for j, a in enumerate(sigma.atoms)}
@@ -247,21 +247,21 @@ def _template(scheme: AxiomScheme) -> tuple[list[tuple[int, int, int]], int, int
     # F, e_sigma's tree, the atom's and the variables' trees, in order:
     # step (x, t, f) fills the next slot with the graft of slot x onto
     # slots t and f.  The law's own atoms hold the places of their slots,
-    # so in a side's tree an atom's node is such a graft.
+    # so in a side's tree an atom's node is such a graft, and both sides
+    # share one step per graft.
     slot = dict(zip(("e", "a", *scheme.variables), itertools.count(2)))
     fixed = 4 + scheme.arity()
-    steps: list[tuple[int, int, int]] = []
+    steps: dict[tuple[int, int, int], int] = {}  # step -> the slot it fills
 
     def step(x: EvalTree, kids: list[int]) -> int:
         if not kids:
             return 0 if x.value else 1
         if kids == [0, 1]:  # a slot grafted onto T and F is itself
             return slot[x.atom.name]
-        steps.append((slot[x.atom.name], kids[0], kids[1]))
-        return fixed + len(steps) - 1
+        return steps.setdefault((slot[x.atom.name], *kids), fixed + len(steps))
 
     lhs, rhs = (fold(se(side), tree_children, step) for side in (scheme.lhs, scheme.rhs))
-    return steps, lhs, rhs
+    return list(steps), lhs, rhs
 
 
 # The laws, as their two sides in the term syntax (see AxiomScheme).
@@ -322,27 +322,19 @@ class AxiomInstanceReport:
 
 
 def check_instance_budget(
-    system: str, pool_size: int | None, atom_count: int, instance_budget: int
+    system: str, pool_size: int, atom_count: int, instance_budget: int
 ) -> None:
     """Raise InstanceBudgetError naming the first law of ``system`` with
     more than ``instance_budget`` instances over a pool of ``pool_size``
-    terms whose alphabet has ``atom_count`` atoms.  A ``pool_size`` of
-    None stands for a pool of more than ``instance_budget`` terms, which
-    every law exceeds: each has at least one variable."""
+    terms whose alphabet has ``atom_count`` atoms (at least that many, if
+    ``pool_size`` is itself a lower bound)."""
     for name in SYSTEMS[system]:
-        if pool_size is None:
-            raise InstanceBudgetError(
-                f"axiom {name}: a pool of more than {instance_budget} terms "
-                f"exceeds the budget of {instance_budget} instances"
-            )
         scheme = AXIOMS[name]
         count = pool_size ** scheme.arity()
         if scheme.needs_atom:
             count *= max(atom_count, 1)
         if count > instance_budget:
-            raise InstanceBudgetError(
-                f"axiom {name}: {count} instances exceed the budget of {instance_budget}"
-            )
+            raise InstanceBudgetError(f"axiom {name}", count, instance_budget)
 
 
 def _graft(x: object, kt: EvalTree, kf: EvalTree, nodes: dict, grafted: dict) -> EvalTree:
@@ -445,7 +437,7 @@ def check_axioms(
         sigma = kind.sigma
         for term in pool:
             check_alphabet(term, sigma, "check_axioms")
-        check_static_budget(sigma, "static tree")
+        check_static_budget(sigma, "check_axioms")
 
         def transform(x: EvalTree) -> EvalTree:
             return mem(order_prefix(sigma, x))

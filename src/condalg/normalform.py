@@ -28,7 +28,7 @@ in time proportional to its result counted as a tree.
 
 from __future__ import annotations
 
-from .errors import AlphabetCoverageError, NodeBudgetError, NotBasicFormError
+from .errors import DEFAULT_NODE_BUDGET, NodeBudgetError, NotBasicFormError, check_static_budget
 from .terms import (
     AtomTerm,
     Cond,
@@ -37,12 +37,10 @@ from .terms import (
     TRUE,
     Term,
     TrueConst,
-    alphabet,
+    check_alphabet,
     is_basic_form,
     render_term,
 )
-
-DEFAULT_NODE_BUDGET = 1_000_000
 
 
 def _require_basic(p: Term, func: str) -> None:
@@ -113,9 +111,7 @@ def bf(t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     counted as a tree, has more than ``node_budget`` nodes."""
     form, size = _bf(t, (TRUE, 1), (FALSE, 1))
     if size > node_budget:
-        raise NodeBudgetError(
-            f"basic form would have {size} nodes, exceeding the budget of {node_budget}"
-        )
+        raise NodeBudgetError("bf", size, node_budget)
     return form
 
 
@@ -135,10 +131,6 @@ def subst_tf(p: Term, for_true: Term, for_false: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _over_budget(node_budget: int, what: str = "normal form") -> NodeBudgetError:
-    return NodeBudgetError(f"{what} exceeds the node budget of {node_budget}")
-
-
 def _reduce(p: Term, repeat: bool, node_budget: int) -> Term:
     # rpf (``repeat``) or cf of the basic form ``p``: one walk, without
     # recursion, over (form, context) pairs.  The context is None, or the
@@ -150,11 +142,11 @@ def _reduce(p: Term, repeat: bool, node_budget: int) -> Term:
     # context's table, so a shared form costs its objects, each at most
     # three times.  Each result's size counted as a tree (constants 1) is
     # worked out once, and the walk raises as soon as one exceeds
-    # ``node_budget``.  A subform that needs no change is returned as it
-    # is.
+    # ``node_budget``, with that size.  A subform that needs no change is
+    # returned as it is.
     if p.__class__ is not Cond:
         if node_budget < 1:
-            raise _over_budget(node_budget)
+            raise NodeBudgetError("rpf" if repeat else "cf", 1, node_budget)
         return p
     done: dict = {None: {}, True: {}, False: {}}  # context -> id -> result
     sizes: dict[int, int] = {}  # id of a result -> its size
@@ -183,7 +175,7 @@ def _reduce(p: Term, repeat: bool, node_budget: int) -> Term:
                 continue
             size = sizes.get(id(new_left), 1) + sizes.get(id(new_right), 1) + 1
             if size > node_budget:
-                raise _over_budget(node_budget)
+                raise NodeBudgetError("rpf" if repeat else "cf", size, node_budget)
             out = p
             if new_left is not left or new_right is not right:
                 out = Cond(new_left, p.condition, new_right)
@@ -200,7 +192,7 @@ def _reduce(p: Term, repeat: bool, node_budget: int) -> Term:
             if repeat:
                 size = 2 * sizes.get(id(out), 1) + 1
                 if size > node_budget:
-                    raise _over_budget(node_budget)
+                    raise NodeBudgetError("rpf", size, node_budget)
                 if p.true_branch is out is p.false_branch:  # so an rpf form is its own
                     out = p
                 else:
@@ -280,7 +272,7 @@ def _mf(p: Term, node_budget: int) -> Term:
             p = p.true_branch if answer else p.false_branch
         count += 1
         if count > node_budget:
-            raise _over_budget(node_budget)
+            raise NodeBudgetError("mf", count, node_budget)
         if p.__class__ is Cond:
             answers[p.condition.atom.name] = True
             stack.append((p, None))
@@ -333,24 +325,6 @@ def e_sigma(sigma: Sigma) -> Term:
     return term
 
 
-def check_alphabet(t: Term, sigma: Sigma, func: str) -> None:
-    """Raise AlphabetCoverageError if ``t`` uses atoms outside ``sigma``."""
-    missing = alphabet(t) - sigma.alphabet()
-    if missing:
-        names = ", ".join(sorted(a.name for a in missing))
-        raise AlphabetCoverageError(
-            f"{func}: atoms not covered by the evaluation order: {names}"
-        )
-
-
-def check_static_budget(sigma: Sigma, what: str, node_budget: int = DEFAULT_NODE_BUDGET) -> None:
-    """Raise NodeBudgetError if the static tree or form over ``sigma``
-    exceeds ``node_budget``.  Either is the full binary tree over sigma,
-    2^(|sigma|+1) - 1 nodes counted as a tree, whatever the term."""
-    if (2 << len(sigma)) - 1 > node_budget:
-        raise _over_budget(node_budget, what)
-
-
 def sbf(sigma: Sigma, t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Term:
     """Static normal form of a term over the evaluation order ``sigma``:
     a full binary tree layered in reverse-``sigma`` order.
@@ -366,7 +340,7 @@ def sbf(sigma: Sigma, t: Term, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ter
     Every atom of the term must occur in ``sigma``.
     """
     check_alphabet(t, sigma, "sbf")
-    check_static_budget(sigma, "normal form", node_budget)
+    check_static_budget(sigma, "sbf", node_budget)
     form = _bf(t, (TRUE, 0), (FALSE, 0))[0]
     for a in sigma.atoms:
         form = Cond(form, AtomTerm(a), form)

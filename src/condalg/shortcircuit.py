@@ -192,10 +192,17 @@ def render_sc(e: SclExpr) -> str:
     return "".join(parts)
 
 
-def _desugar(e: SclExpr, atoms: dict[str, AtomTerm]) -> Term:
+def desugar(e: SclExpr) -> Term:
+    """Rewrite the connectives into conditionals, with one ``AtomTerm``
+    per atom name, as ``parse_term`` builds them.
+
+    ``p && q`` becomes ``q <| p |> F`` and ``!p`` becomes ``F <| p |> T``;
+    ``p || q`` becomes ``T <| p |> q``, the dual of ``&&``.
+    """
     # Without recursion: ``stack`` holds, last first, the expressions to
     # desugar and, as their classes, the connectives whose operands'
     # terms are the last ones on ``terms``.
+    atoms: dict[str, AtomTerm] = {}
     terms: list[Term] = []
     stack: list = [e]
     while stack:
@@ -222,16 +229,6 @@ def _desugar(e: SclExpr, atoms: dict[str, AtomTerm]) -> Term:
         else:
             terms.append(TRUE if cls is SclTrue else FALSE)
     return terms[0]
-
-
-def desugar(e: SclExpr) -> Term:
-    """Rewrite the connectives into conditionals, with one ``AtomTerm``
-    per atom name, as ``parse_term`` builds them.
-
-    ``p && q`` becomes ``q <| p |> F`` and ``!p`` becomes ``F <| p |> T``;
-    ``p || q`` becomes ``T <| p |> q``, the dual of ``&&``.
-    """
-    return _desugar(e, {})
 
 
 # ---------------------------------------------------------------------------

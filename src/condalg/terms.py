@@ -24,7 +24,7 @@ from dataclasses import FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .errors import DuplicateAtomError, TermSyntaxError
+from .errors import AlphabetCoverageError, DuplicateAtomError, TermSyntaxError
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -592,6 +592,14 @@ def alphabet(t: Term) -> AtomSet:
     return frozenset(found)
 
 
+def check_alphabet(t: Term, sigma: Sigma, func: str) -> None:
+    """Raise AlphabetCoverageError if ``t`` uses atoms outside ``sigma``."""
+    missing = alphabet(t) - sigma.alphabet()
+    if missing:
+        names = ", ".join(sorted(a.name for a in missing))
+        raise AlphabetCoverageError(f"{func}: atoms not covered by the evaluation order: {names}")
+
+
 def depth(t: Term) -> int:
     """Nesting depth: constants and atoms are 0, a conditional is one more
     than its deepest child (condition position included)."""
@@ -726,17 +734,17 @@ def enumerate_basic_forms(
     return sorted(layer, key=lambda term: (depth(term), render_term(term)))
 
 
-def count_basic_forms(atom_count: int, max_depth: int, limit: int) -> int | None:
+def count_basic_forms(atom_count: int, max_depth: int, limit: int) -> int:
     """How many terms ``enumerate_basic_forms`` lists for ``atom_count``
     atoms and ``max_depth``, without building them: ``n_0 = 2`` and
-    ``n_{d+1} = 2 + atom_count * n_d ** 2``.  None once the count passes
-    ``limit``: it squares at each depth, so an exact count for a large
-    depth would not finish."""
+    ``n_{d+1} = 2 + atom_count * n_d ** 2``.  Once the count passes
+    ``limit``, the first count past it, a lower bound: it squares at each
+    depth, so an exact count for a large depth would not finish."""
     count = 2
     for _ in range(max_depth if atom_count else 0):
         count = 2 + atom_count * count * count
         if count > limit:
-            return None
+            break
     return count
 
 

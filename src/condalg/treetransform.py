@@ -25,9 +25,9 @@ given so far, in time proportional to its output counted as a tree.
 
 from __future__ import annotations
 
+from .errors import check_static_budget
 from .evaltrees import EvalTree, Node, se
-from .normalform import check_alphabet, check_static_budget
-from .terms import Sigma, Term
+from .terms import Sigma, Term, check_alphabet
 
 
 def _reduce(x: EvalTree, repeat: bool) -> EvalTree:
@@ -201,5 +201,5 @@ def sse(sigma: Sigma, t: Term) -> EvalTree:
     ``DEFAULT_NODE_BUDGET`` nodes counted as a tree.
     """
     check_alphabet(t, sigma, "sse")
-    check_static_budget(sigma, "static tree")
+    check_static_budget(sigma, "sse")
     return mem(order_prefix(sigma, se(t)))

@@ -15,7 +15,6 @@ from typing import Mapping, Union
 
 import condalg as c
 from condalg.evaltrees import tree_children
-from condalg.normalform import _over_budget
 from condalg.shortcircuit import _EXPR_TOKENS, _KEYWORDS, _SC_TOKENS, _expr_error
 from condalg.terms import _TERM_TOKENS, TokenCursor, fold, term_children
 
@@ -641,7 +640,7 @@ def oracle_render_sc(e: c.SclExpr) -> str:
 
 
 def oracle_desugar(e: c.SclExpr, atoms: dict[str, c.AtomTerm]) -> c.Term:
-    """``shortcircuit._desugar`` built recursively: one ``AtomTerm`` per
+    """``shortcircuit.desugar`` built recursively: one ``AtomTerm`` per
     atom name, kept in ``atoms``."""
     if isinstance(e, c.SclAnd):
         return c.Cond(oracle_desugar(e.right, atoms), oracle_desugar(e.left, atoms), c.FALSE)
@@ -701,7 +700,7 @@ def oracle_memorize_form(p: c.Term, answers: dict[str, bool], spent: list[int], 
         p = p.true_branch if answers[p.condition.atom.name] else p.false_branch
     spent[0] += 1
     if spent[0] > node_budget:
-        raise _over_budget(node_budget)
+        raise c.NodeBudgetError("mf", spent[0], node_budget)
     if not isinstance(p, c.Cond):
         return p
     name = p.condition.atom.name

@@ -249,7 +249,8 @@ def test_truth_table_errors():
     with pytest.raises(c.AlphabetCoverageError):
         c.truth_table(p("T <| z |> F"), SIGMA_AB)
     wide = c.Sigma(tuple(c.Atom(f"a{i}") for i in range(17)))
-    with pytest.raises(ValueError):
+    message = f"^truth_table would have at least {2**18 - 1} nodes, over the budget of {2**17 - 1}$"
+    with pytest.raises(c.NodeBudgetError, match=message):
         c.truth_table(T, wide)
 
 
@@ -368,6 +369,15 @@ def test_check_axioms_validation_and_budget():
     with pytest.raises(c.InstanceBudgetError) as err:
         c.check_axioms("CP", POOL, c.FREE, instance_budget=10)
     assert "CP1" in str(err.value)
+
+
+def test_no_law_template_repeats_a_step():
+    # Both sides of a law share one step per graft: CP4's sides need
+    # three, where compiling each side alone gives six.
+    for name, scheme in c.AXIOMS.items():
+        steps = scheme.template[0]
+        assert len(set(steps)) == len(steps), name
+    assert len(c.AXIOMS["CP4"].template[0]) == 3
 
 
 def test_check_axioms_instance_counts():

@@ -16,7 +16,7 @@ import condalg as c
 from condalg.congruence import _graft
 from condalg.evaltrees import _se
 from condalg.normalform import _bf, _mf
-from condalg.shortcircuit import _desugar, _eval_register_expr
+from condalg.shortcircuit import _eval_register_expr
 from helpers import (
     SIGMA_A,
     TA,
@@ -259,7 +259,7 @@ EXPRESSIONS = exprs_upto(2) + [random_sc(random.Random(k), 12) for k in range(50
 
 def test_desugar_and_render_sc_match_their_oracles():
     for e in EXPRESSIONS:
-        assert same_objects(_desugar(e, {}), oracle_desugar(e, {})), e
+        assert same_objects(c.desugar(e), oracle_desugar(e, {})), e
         assert c.render_sc(e) == oracle_render_sc(e)
 
 

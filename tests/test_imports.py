@@ -1,4 +1,5 @@
-"""No library module imports a name it never uses.
+"""No library module imports a name it never uses, and the two decision
+routes import nothing from each other.
 
 ``__init__.py`` is exempt: importing is how it exports.  A name counts as
 used when it is read anywhere in the module, also inside a string
@@ -53,3 +54,33 @@ def test_every_imported_name_is_used(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules an import names, by their last dotted part:
+    ``from .normalform import bf`` and ``import condalg.normalform``
+    both name ``normalform``; ``from . import normalform`` does too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.module == "condalg":
+                names |= {alias.name for alias in node.names}
+            else:
+                names.add(node.module.rpartition(".")[2])
+    return names
+
+
+# The tree route (evaluation trees and their transforms) and the
+# normal-form route decide each congruence independently: the tests check
+# that they agree, which shared code could make vacuous.
+TREE_ROUTE = ("evaltrees", "treetransform")
+
+
+@pytest.mark.parametrize("module", [*TREE_ROUTE, "normalform"])
+def test_the_two_routes_import_nothing_from_each_other(module):
+    others = {"normalform"} if module in TREE_ROUTE else set(TREE_ROUTE)
+    path = Path(condalg.__file__).parent / f"{module}.py"
+    shared = imported_modules(ast.parse(path.read_text(), str(path))) & others
+    assert not shared, f"{module}.py imports from {sorted(shared)}"

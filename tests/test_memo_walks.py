@@ -180,7 +180,9 @@ def test_rpbf_and_cbf_budget_boundary_on_shared_terms():
             form = normalize(t, node_budget=10**40)
             n = form_size(form)
             assert normalize(t, node_budget=n) is not None
-            with pytest.raises(c.NodeBudgetError, match=f"normal form exceeds the node budget of {n - 1}$"):
+            stage = "rpf" if normalize is c.rpbf else "cf"
+            message = f"^{stage} would have at least {n} nodes, over the budget of {n - 1}$"
+            with pytest.raises(c.NodeBudgetError, match=message):
                 normalize(t, node_budget=n - 1)
 
 

@@ -133,7 +133,7 @@ def test_bf_node_budget_bounds_the_result_tree_size():
     for t in all_terms_upto(2) + random_terms():
         n = tree_size(paper_se(t))
         c.bf(t, node_budget=n)
-        message = f"basic form would have {n} nodes, exceeding the budget of {n - 1}$"
+        message = f"^bf would have at least {n} nodes, over the budget of {n - 1}$"
         with pytest.raises(c.NodeBudgetError, match=message):
             c.bf(t, node_budget=n - 1)
 
@@ -394,7 +394,7 @@ def test_sbf_matches_the_paper_composition():
             # The budget bounds the paper's form counted as a tree.
             n = tree_size(paper_se(form))
             assert c.sbf(sigma, t, node_budget=n) == form
-            message = f"normal form exceeds the node budget of {n - 1}$"
+            message = f"^sbf would have at least {n} nodes, over the budget of {n - 1}$"
             with pytest.raises(c.NodeBudgetError, match=message):
                 c.sbf(sigma, t, node_budget=n - 1)
 
@@ -423,7 +423,8 @@ def test_sbf_walks_the_term_not_the_prefix(monkeypatch):
 def test_sbf_over_a_wide_order_runs_out_of_budget():
     # Over 26 atoms the static form has 2^27 - 1 nodes counted as a tree.
     sigma = c.Sigma.of(*"abcdefghijklmnopqrstuvwxyz")
-    with pytest.raises(c.NodeBudgetError, match="exceeds the node budget of 1000000$"):
+    message = f"^sbf would have at least {2**27 - 1} nodes, over the budget of 1000000$"
+    with pytest.raises(c.NodeBudgetError, match=message):
         c.sbf(sigma, TA)
 
 
@@ -433,7 +434,7 @@ def test_sbf_budget_is_the_full_tree_over_the_order():
     # 1,048,575, past the default budget.
     for t in (T, TA, p("F <| b |> (a <| a |> T)")):
         assert c.is_st_basic_form(c.sbf(SIGMA_AB, t, node_budget=7), SIGMA_AB)
-        with pytest.raises(c.NodeBudgetError, match="^normal form exceeds the node budget of 6$"):
+        with pytest.raises(c.NodeBudgetError, match="^sbf would have at least 7 nodes, over the budget of 6$"):
             c.sbf(SIGMA_AB, t, node_budget=6)
     with pytest.raises(c.NodeBudgetError):
         c.sbf(c.Sigma.of(*"abcdefghijklmnopqrs"), TA)
@@ -446,11 +447,13 @@ def test_memorizing_budget_bounds_the_result_tree_size():
         + [(normalize, t) for normalize in (c.rpbf, c.cbf, c.mbf) for t in terms]
         + [(functools.partial(c.sbf, SIGMA_BA), t) for t in terms]
     )
+    stages = {c.rpf: "rpf", c.rpbf: "rpf", c.cf: "cf", c.cbf: "cf", c.mf: "mf", c.mbf: "mf"}
     for normalize, t in calls:
         form = normalize(t)
         n = tree_size(c.se(form))
         assert normalize(t, node_budget=n) == form
-        message = f"normal form exceeds the node budget of {n - 1}$"
+        stage = stages.get(normalize, "sbf")
+        message = f"^{stage} would have at least {n} nodes, over the budget of {n - 1}$"
         with pytest.raises(c.NodeBudgetError, match=message):
             normalize(t, node_budget=n - 1)
 

@@ -268,7 +268,8 @@ def test_static_tree_over_a_wide_order_is_refused_before_it_is_built(names):
     # nodes counted as a tree: 1,048,575 over 19 atoms, over the default
     # budget, so sse refuses it at once instead of building it.
     sigma = c.Sigma.of(*names)
-    with pytest.raises(c.NodeBudgetError, match="^static tree exceeds the node budget of 1000000$"):
+    message = f"^sse would have at least {(2 << len(names)) - 1} nodes, over the budget of 1000000$"
+    with pytest.raises(c.NodeBudgetError, match=message):
         c.sse(sigma, c.AtomTerm(ATOM_A))
     with pytest.raises(c.NodeBudgetError):
         c.equivalent(T, F, c.static(sigma))
