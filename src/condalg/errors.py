@@ -25,8 +25,12 @@ class TermSyntaxError(CondAlgError):
     """
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message, position)  # as ``args``, so it pickles
         self.position = position
+
+    def __str__(self) -> str:
+        message, position = self.args
+        return f"{message} (at position {position})"
 
 
 class NotBasicFormError(CondAlgError):

@@ -18,6 +18,7 @@ from .terms import (
     AtomTerm,
     Cond,
     FALSE,
+    IDENT,
     Lexicon,
     TRUE,
     Term,
@@ -86,7 +87,7 @@ SC_FALSE = SclFalse()
 # The connective grammar: `!` binds tightest, `&&` over `||`, both
 # left-associative; atoms as in the term grammar.
 
-_SC_TOKENS = Lexicon(r"""&& | \|\| | ! | \( | \) | "[^"]*" | [a-z][a-z0-9_]*""")
+_SC_TOKENS = Lexicon(rf"""&& | \|\| | ! | \( | \) | "[^"]*" | {IDENT}""")
 
 _KEYWORDS = {"true": SC_TRUE, "false": SC_FALSE}
 _BINARY = (SclAnd, SclOr)
@@ -235,12 +236,11 @@ def desugar(e: SclExpr) -> Term:
 # Register oracle
 # ---------------------------------------------------------------------------
 
-_REGISTER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 # ASCII digits, as register expressions read them (int() takes more).
 _STATE_INT_RE = re.compile(r"[-+]?[0-9]+\Z")
 
 
-_EXPR_TOKENS = Lexicon(r"[0-9]+ | [a-z][a-z0-9_]* | [-+] | \( | \)")
+_EXPR_TOKENS = Lexicon(rf"[0-9]+ | {IDENT} | [-+] | \( | \)")
 
 
 def _expr_error(message: str, position: int) -> OracleError:
@@ -298,7 +298,7 @@ class RegisterOracle:
 
     def __init__(self, initial: Mapping[str, int]):
         for name in initial:
-            if not _REGISTER_RE.match(name):
+            if not re.fullmatch(IDENT, name):
                 raise OracleError(f"bad register name {name!r}")
         self.state: dict[str, int] = dict(initial)
 
@@ -315,7 +315,7 @@ class RegisterOracle:
         if "=" in inner:
             target, _, expr = inner.partition("=")
             target = target.strip()
-            if not _REGISTER_RE.match(target):
+            if not re.fullmatch(IDENT, target):
                 raise OracleError(f"bad assignment target in atom {text!r}")
             if target not in self.state:
                 raise OracleError(f"unknown register {target!r}")
@@ -340,7 +340,7 @@ def parse_register_state(text: str) -> dict[str, int]:
         name, sep, value = chunk.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not _REGISTER_RE.match(name):
+        if not sep or not re.fullmatch(IDENT, name):
             raise OracleError(f"bad register assignment {chunk!r}")
         if not _STATE_INT_RE.match(value):
             raise OracleError(f"bad integer in register assignment {chunk!r}")

@@ -26,7 +26,10 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import AlphabetCoverageError, DuplicateAtomError, TermSyntaxError
 
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# A bare atom name, as the term and short-circuit grammars read it and
+# ``format_atom`` writes it; a register name too.
+IDENT = r"[a-z][a-z0-9_]*"
+_IDENT_RE = re.compile(IDENT)
 
 
 def frozen(cls=None, /, *, init: bool = True, deep: bool = False):
@@ -121,7 +124,7 @@ class Atom:
 
 def format_atom(a: Atom) -> str:
     """Render an atom bare when it is a plain identifier, quoted otherwise."""
-    if _IDENT_RE.match(a.name):
+    if _IDENT_RE.fullmatch(a.name):
         return a.name
     return f'"{a.name}"'
 
@@ -304,33 +307,13 @@ class TokenCursor:
 # An empty or unterminated quote matches no token, so it is reported as a
 # stray quote character.  The commonest tokens come first: the regex tries
 # the alternatives in order at every token.
-_TERM_TOKENS = Lexicon(r"""<\| | \|> | [a-z][a-z0-9_]* | "[^"]+" | T | F | \( | \)""")
+_TERM_TOKENS = Lexicon(rf"""<\| | \|> | {IDENT} | "[^"]+" | T | F | \( | \)""")
 
 # The separator after each operand slot (true branch, condition, false
 # branch) of a parenthesized conditional, and of the top-level one, whose
 # false branch ends the input ("" matches no token).
 _INNER = ("<|", "|>", ")")
 _OUTER = ("<|", "|>", "")
-
-
-def _leaves(tokens: Iterable[str]) -> dict[str, Term]:
-    """The term of each constant and atom token: T, F and one
-    ``AtomTerm`` per atom name, which its quoted and bare spellings
-    share."""
-    leaves: dict[str, Term] = {"T": TRUE, "F": FALSE}
-    atoms: dict[str, AtomTerm] = {}
-    for token in tokens:
-        if token[0] == '"':
-            name = token[1:-1]
-        elif "a" <= token[0] <= "z":
-            name = token
-        else:
-            continue
-        term = atoms.get(name)
-        if term is None:
-            term = atoms[name] = AtomTerm(Atom(name))
-        leaves[token] = term
-    return leaves
 
 
 def _misplaced(token: str, wanted: str | None, top: bool) -> str:
@@ -353,7 +336,8 @@ def parse_term(text: str) -> Term:
     """
     cur = TokenCursor(_TERM_TOKENS, text, TermSyntaxError)
     tokens = cur.tokens
-    leaves = _leaves(set(tokens))
+    leaves: dict[str, Term] = {"T": TRUE, "F": FALSE}  # token -> its term
+    atoms: dict[str, AtomTerm] = {}  # atom name -> its one term, whatever the spelling
     operands: list[Term] = []
     push = operands.append
     slots: list[int] = []  # the slot each open parenthesis fills, innermost last
@@ -363,15 +347,24 @@ def parse_term(text: str) -> Term:
     for k, token in enumerate(tokens):
         if wanted is None:
             leaf = leaves.get(token)
-            if leaf is not None:
-                push(leaf)
-                wanted = separators[slot]
-            elif token == "(":
-                slots.append(slot)
-                slot = 0
-                separators = _INNER
-            else:
-                break
+            if leaf is None:
+                if token == "(":
+                    slots.append(slot)
+                    slot = 0
+                    separators = _INNER
+                    continue
+                if token[0] == '"':
+                    name = token[1:-1]
+                elif "a" <= token[0] <= "z":
+                    name = token
+                else:
+                    break
+                leaf = atoms.get(name)
+                if leaf is None:
+                    leaf = atoms[name] = AtomTerm(Atom(name))
+                leaves[token] = leaf
+            push(leaf)
+            wanted = separators[slot]
         elif token == wanted:
             if slot == 2:  # a ")": the conditional's three operands are read
                 r = operands.pop()
@@ -462,23 +455,6 @@ def render_shared(
 _COND_CHILDREN = attrgetter("true_branch", "condition", "false_branch")
 
 
-def _joints(centre: str) -> tuple[str, str, str, str]:
-    """The text from a conditional's true branch to its false branch
-    around a central condition written ``centre``, indexed by
-    ``2 * (true branch is a conditional) + (false branch is one)``."""
-    return tuple(
-        f"{')' if p_cond else ''} <| {centre} |> {'(' if r_cond else ''}"
-        for p_cond in (False, True)
-        for r_cond in (False, True)
-    )
-
-
-# The joints around a conditional central condition, split where its
-# text goes, indexed as in _joints.
-_IF = (" <| (", " <| (", ") <| (", ") <| (")
-_THEN = (") |> ", ") |> (", ") |> ", ") |> (")
-
-
 def render_term(t: Term) -> str:
     """Render a term canonically: nested conditionals fully parenthesized,
     one space around ``<|`` and ``|>``.
@@ -487,7 +463,6 @@ def render_term(t: Term) -> str:
     text of a conditional reached from more than one parent is built once.
     """
     names: dict[str, str] = {}  # atom name -> its text
-    joints: dict[str, tuple[str, str, str, str]] = {}  # leaf text -> its joints
 
     def leaf(x: Term) -> str:
         if x.__class__ is AtomTerm:
@@ -499,22 +474,15 @@ def render_term(t: Term) -> str:
 
     def pieces(x: Cond) -> list:
         p, q, r = x.true_branch, x.condition, x.false_branch
-        p_cond = p.__class__ is Cond
-        r_cond = r.__class__ is Cond
-        index = 2 * p_cond + r_cond
-        out = [")", r] if r_cond else [leaf(r)]
+        out = [")", r, " |> ("] if r.__class__ is Cond else [leaf(r), " |> "]
         if q.__class__ is Cond:
-            out += (_THEN[index], q, _IF[index])
+            out += (")", q, "(")
         else:
-            centre = leaf(q)
-            joint = joints.get(centre)
-            if joint is None:
-                joint = joints[centre] = _joints(centre)
-            out.append(joint[index])
-        if p_cond:
-            out += (p, "(")
+            out.append(leaf(q))
+        if p.__class__ is Cond:
+            out += (") <| ", p, "(")
         else:
-            out.append(leaf(p))
+            out += (" <| ", leaf(p))
         return out
 
     if t.__class__ is not Cond:

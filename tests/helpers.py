@@ -25,7 +25,6 @@ TA = c.AtomTerm(ATOM_A)
 TB = c.AtomTerm(ATOM_B)
 
 SIGMA_A = c.Sigma((ATOM_A,))
-SIGMA_B = c.Sigma((ATOM_B,))
 SIGMA_AB = c.Sigma(AB)
 SIGMA_BA = c.Sigma((ATOM_B, ATOM_A))
 
@@ -775,10 +774,6 @@ def condition_nested(k: int, base: c.Term = TA) -> c.Term:
     for _ in range(k):
         t = c.Cond(t, t, t)
     return t
-
-
-def se_key(t: c.Term) -> str:
-    return c.render_tree(c.se(t))
 
 
 ALL_KINDS = (

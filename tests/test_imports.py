@@ -1,5 +1,6 @@
-"""No library module imports a name it never uses, and the two decision
-routes import nothing from each other.
+"""No library module imports a name it never uses or defines a private
+one the package never reads, and the two decision routes import nothing
+from each other.
 
 ``__init__.py`` is exempt: importing is how it exports.  A name counts as
 used when it is read anywhere in the module, also inside a string
@@ -15,9 +16,8 @@ import pytest
 
 import condalg
 
-MODULES = sorted(
-    path for path in Path(condalg.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(condalg.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -36,7 +36,7 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 def used_names(tree: ast.Module) -> set[str]:
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # A string annotation is an expression; other strings that
@@ -54,6 +54,37 @@ def test_every_imported_name_is_used(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each ``_name`` (not a dunder) a module's top level binds by def,
+    class or assignment, with the line that binds it."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [
+                n.id
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                names[name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_private_definition_is_read(path):
+    read = set().union(*(used_names(ast.parse(p.read_text(), str(p))) for p in PACKAGE))
+    defined = private_definitions(ast.parse(path.read_text(), str(path)))
+    dead = {name: line for name, line in defined.items() if name not in read}
+    assert not dead, f"{path.name}: defined but never read: {dead}"
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -1,9 +1,12 @@
 """Malformed input: the exception type and position each parser reports.
 
 The positions are pinned per input; messages may be reworded freely.
+Each error survives ``pickle`` with its type, text and position.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -72,12 +75,20 @@ SC_ERRORS = [
 ]
 
 
+def assert_pickles(error: Exception) -> None:
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(error, protocol))
+        assert type(copy) is type(error)
+        assert (str(copy), copy.position) == (str(error), error.position)
+
+
 @pytest.mark.parametrize("text,position", TERM_ERRORS)
 def test_parse_term_error_position(text, position):
     with pytest.raises(c.TermSyntaxError) as err:
         c.parse_term(text)
     assert type(err.value) is c.TermSyntaxError
     assert err.value.position == position
+    assert_pickles(err.value)
 
 
 @pytest.mark.parametrize("text,position", SC_ERRORS)
@@ -86,6 +97,7 @@ def test_parse_sc_error_position(text, position):
         c.parse_sc(text)
     assert type(err.value) is c.TermSyntaxError
     assert err.value.position == position
+    assert_pickles(err.value)
 
 
 @pytest.mark.parametrize(
