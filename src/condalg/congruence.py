@@ -14,13 +14,18 @@ the term is folded once into integers holding one bit per row.
 graft the trees of the terms substituted for its variables, by the
 paper's law for the tree of ``P <| Q |> R``: Q's tree with P's tree at
 its T leaves and R's at its F leaves.  The same law grafts each pool
-term's tree from the term's objects.
+term's tree from the term's objects.  Each step is filed under the last
+variable it reads and runs once per choice of the values up to that
+one.  Every tree of a call, transformed or not, is built through the
+call's one unique table, so equal trees are one object and an instance
+holds exactly when its two trees are.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from .errors import CondAlgError, InstanceBudgetError, check_static_budget
@@ -217,7 +222,7 @@ class AxiomScheme:
     variables: tuple[str, ...] = field(init=False)
     needs_atom: bool = field(init=False)
     needs_sigma: bool = field(init=False)
-    # The graft steps ``check_axioms`` runs per instance (see _template).
+    # The graft steps ``check_axioms`` runs, by level (see _template).
     template: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -242,15 +247,18 @@ class AxiomScheme:
         return fold(self.lhs, term_children, put), fold(self.rhs, term_children, put)
 
 
-def _template(scheme: AxiomScheme) -> tuple[list[tuple[int, int, int]], int, int]:
+def _template(scheme: AxiomScheme) -> tuple[tuple[tuple[tuple[int, int, int, int], ...], ...], int, int]:
     # The steps building an instance's two trees from slots holding T,
     # F, e_sigma's tree, the atom's and the variables' trees, in order:
-    # step (x, t, f) fills the next slot with the graft of slot x onto
-    # slots t and f.  The law's own atoms hold the places of their slots,
-    # so in a side's tree an atom's node is such a graft, and both sides
-    # share one step per graft.
+    # step (s, x, t, f) fills slot s with the graft of slot x onto slots
+    # t and f.  The law's own atoms hold the places of their slots, so in
+    # a side's tree an atom's node is such a graft, and both sides share
+    # one step per graft.  The steps come in stages, one per level: the
+    # atom's slot is level 0, the i-th variable's level i + 1, T, F and
+    # e_sigma's level 0, and a step's the highest level it reads.  So a
+    # stage's steps are run again only when its level's value changes.
     slot = dict(zip(("e", "a", *scheme.variables), itertools.count(2)))
-    fixed = 4 + scheme.arity()
+    level = [max(s - 3, 0) for s in range(4 + scheme.arity())]  # slot -> its level
     steps: dict[tuple[int, int, int], int] = {}  # step -> the slot it fills
 
     def step(x: EvalTree, kids: list[int]) -> int:
@@ -258,10 +266,18 @@ def _template(scheme: AxiomScheme) -> tuple[list[tuple[int, int, int]], int, int
             return 0 if x.value else 1
         if kids == [0, 1]:  # a slot grafted onto T and F is itself
             return slot[x.atom.name]
-        return steps.setdefault((slot[x.atom.name], *kids), fixed + len(steps))
+        key = (slot[x.atom.name], *kids)
+        s = steps.get(key)
+        if s is None:
+            s = steps[key] = len(level)
+            level.append(max(level[i] for i in key))
+        return s
 
     lhs, rhs = (fold(se(side), tree_children, step) for side in (scheme.lhs, scheme.rhs))
-    return list(steps), lhs, rhs
+    stages: list[list[tuple[int, int, int, int]]] = [[] for _ in range(1 + scheme.arity())]
+    for key, s in steps.items():  # in the order of their slots
+        stages[level[s]].append((s, *key))
+    return tuple(map(tuple, stages)), lhs, rhs
 
 
 # The laws, as their two sides in the term syntax (see AxiomScheme).
@@ -309,7 +325,7 @@ SYSTEM_LEVEL = {"CP": 0, "CPrp": 1, "CPcr": 2, "CPmem": 3, "CPs": 4, "CPst": 4}
 DEFAULT_INSTANCE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+@frozen(init=False)
 class AxiomInstanceReport:
     """One instantiated equation and its verdict under a congruence."""
 
@@ -317,8 +333,20 @@ class AxiomInstanceReport:
     substitution: tuple[tuple[str, Term], ...]
     holds: bool
 
+    # check_axioms builds one per instance, so this fills the slots
+    # through their own setters, as terms.Cond does.
+    def __init__(self, axiom_name: str, substitution: tuple[tuple[str, Term], ...], holds: bool):
+        _set_axiom_name(self, axiom_name)
+        _set_substitution(self, substitution)
+        _set_holds(self, holds)
+
     def substitution_map(self) -> dict[str, Term]:
         return dict(self.substitution)
+
+
+_set_axiom_name = AxiomInstanceReport.axiom_name.__set__
+_set_substitution = AxiomInstanceReport.substitution.__set__
+_set_holds = AxiomInstanceReport.holds.__set__
 
 
 def check_instance_budget(
@@ -408,11 +436,18 @@ def check_axioms(
     evaluation trees, built by the paper's law: the tree of ``P <| Q |>
     R`` is Q's with its T leaves replaced by P's tree and its F leaves by
     R's.  Each law is compiled once per process into steps that graft
-    its variables' trees, and an instance runs them on its pool terms'
-    trees, each grafted once from the term's objects.  All trees of the
-    call live in one store private to it: equal trees are one object,
-    each graft is made once and each distinct tree is transformed once.  The pool's alphabet is
-    checked against a static kind's order once, not per instance.
+    its variables' trees, each filed under the last variable it reads.
+    The instances run in ``itertools.product`` order, as an odometer over
+    the variables, and a step runs again only when a value it reads
+    changes; the pool terms' trees are each grafted once from the term's
+    objects.  All trees of the call live in one store private to it, a
+    unique table keyed on (atom name, left, right) that the transforms
+    build through as well, rp and cr with one table of done (node,
+    context) pairs for the call.  So equal trees are one object, an
+    instance holds exactly when its two transformed trees are one, each
+    graft is made once and each distinct tree is transformed once.  The
+    pool's alphabet is checked against a static kind's order once, not
+    per instance.
 
     Raises InstanceBudgetError naming the first law whose cross-product
     would exceed ``instance_budget``, before any instance is checked, and
@@ -428,11 +463,17 @@ def check_axioms(
     check_instance_budget(system, len(pool), len(pool_atoms), instance_budget)
     nodes: dict[tuple[str, int, int], Node] = {}  # (atom name, id(left), id(right))
     grafted: dict[tuple[int, int, int], EvalTree] = {}  # (id(x), id(kt), id(kf))
-    transformed: dict[int, EvalTree] = {}  # id of a tree alive for the call
+    transformed: dict[int, EvalTree] = {}  # id of a tree of the call -> its transform
+    # Each transform builds through ``nodes``, rp and cr with one table of
+    # done (node, context) pairs for the call, and is looked up on each
+    # call, so rebinding rp, cr, mem or order_prefix reaches it.
     if kind.sigma is None:
         sigma = Sigma(tuple(pool_atoms))
-        # rp, cr or mem, looked up on each call, so rebinding one reaches it.
-        transform = globals()[kind.tag] if kind.tag != "free" else None
+        transform = None
+        if kind.tag in ("rp", "cr"):
+            transform = partial(globals()[kind.tag], nodes=nodes, done={None: {}, True: {}, False: {}})
+        elif kind.tag == "mem":
+            transform = partial(mem, nodes=nodes)
     else:
         sigma = kind.sigma
         for term in pool:
@@ -440,7 +481,7 @@ def check_axioms(
         check_static_budget(sigma, "check_axioms")
 
         def transform(x: EvalTree) -> EvalTree:
-            return mem(order_prefix(sigma, x))
+            return mem(order_prefix(sigma, x, nodes), nodes)
 
     # The trees of the pool's terms and atoms, each its graft onto T and
     # F; ``pool`` and ``atoms`` keep alive the terms whose ids are keys
@@ -448,31 +489,60 @@ def check_axioms(
     atoms = tuple(AtomTerm(a) for a in pool_atoms)
     pool_trees = [_graft(term, LEAF_T, LEAF_F, nodes, grafted) for term in pool]
     atom_trees = [_graft(term, LEAF_T, LEAF_F, nodes, grafted) for term in atoms]
-    order = order_prefix(sigma, LEAF_F)
+    order = order_prefix(sigma, LEAF_F, nodes)
 
     reports: list[AxiomInstanceReport] = []
     for name in SYSTEMS[system]:
         scheme = AXIOMS[name]
-        steps, lhs, rhs = scheme.template
-        choices = [((), LEAF_F)]  # (the atom's substitution, its tree)
-        if scheme.needs_atom:
-            choices = [((("a", a),), x) for a, x in zip(atoms, atom_trees)]
-        for bound_atom, atom_tree in choices:
-            for values, value_trees in zip(
-                itertools.product(pool, repeat=scheme.arity()),
-                itertools.product(pool_trees, repeat=scheme.arity()),
-            ):
-                slots = [LEAF_T, LEAF_F, order, atom_tree, *value_trees]
-                for x, t, f in steps:
-                    slots.append(_graft(slots[x], slots[t], slots[f], nodes, grafted))
+        stages, lhs, rhs = scheme.template
+        # The law's levels, outermost first: the atom (one empty choice if
+        # the law has none), then the variables.  Each lists its values'
+        # pieces of the substitution and their trees.
+        levels = [([(("a", a),) for a in atoms], atom_trees) if scheme.needs_atom else ([()], [LEAF_F])]
+        levels += [([((v, term),) for term in pool], pool_trees) for v in scheme.variables]
+        if not levels[0][1]:  # an atom law over a pool without atoms
+            continue
+        slots: list = [LEAF_T, LEAF_F, order] + [None] * (len(levels) + sum(map(len, stages)))
+        # An odometer over the outer levels, in itertools.product order:
+        # ``index`` holds their values, ``prefix[i]`` the substitution
+        # of the levels before i, and ``changed`` the outermost level
+        # whose value changed, from which on slots and prefixes are redone.
+        last = len(levels) - 1
+        index = [0] * last
+        prefix = [()] * (last + 1)
+        changed = 0
+        while True:
+            for i in range(changed, last):
+                pieces, trees = levels[i]
+                slots[3 + i] = trees[index[i]]
+                prefix[i + 1] = prefix[i] + pieces[index[i]]
+                for s, x, t, f in stages[i]:
+                    slots[s] = _graft(slots[x], slots[t], slots[f], nodes, grafted)
+            head = prefix[last]
+            pieces, trees = levels[last]
+            for piece, tree in zip(pieces, trees):
+                slots[3 + last] = tree
+                for s, x, t, f in stages[last]:  # most grafts are made already
+                    x, t, f = slots[x], slots[t], slots[f]
+                    y = grafted.get((id(x), id(t), id(f)))
+                    slots[s] = _graft(x, t, f, nodes, grafted) if y is None else y
                 x, y = slots[lhs], slots[rhs]
                 if transform is not None:
-                    for z in (x, y):
-                        if id(z) not in transformed:
-                            transformed[id(z)] = transform(z)
-                    x, y = transformed[id(x)], transformed[id(y)]
-                substitution = bound_atom + tuple(zip(scheme.variables, values))
-                reports.append(AxiomInstanceReport(name, substitution, same_tree(x, y)))
+                    tx = transformed.get(id(x))
+                    if tx is None:
+                        tx = transformed[id(x)] = transform(x)
+                    ty = transformed.get(id(y))
+                    if ty is None:
+                        ty = transformed[id(y)] = transform(y)
+                    x, y = tx, ty
+                reports.append(AxiomInstanceReport(name, head + piece, x is y))
+            changed = last - 1
+            while changed >= 0 and index[changed] + 1 == len(levels[changed][1]):
+                index[changed] = 0
+                changed -= 1
+            if changed < 0:
+                break
+            index[changed] += 1
     return reports
 
 

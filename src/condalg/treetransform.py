@@ -21,6 +21,18 @@ done once, so their time is linear in the objects of the input plus the
 shared tree they build, however large either is counted as a tree.
 ``mem`` (and so ``mse`` and ``sse``) is one walk that carries the answers
 given so far, in time proportional to its output counted as a tree.
+
+``rp``, ``cr``, ``mem`` and ``order_prefix`` take the caller's tables.
+Every node they build comes from ``nodes``, a unique table keyed on
+(atom name, ``id(left)``, ``id(right)``), which holds its nodes and so
+keeps the keyed ids alive.  ``rp`` and ``cr`` also take ``done``, the
+results by context (None, True or False) and ``id`` of the nodes walked,
+which a caller reuses only with the same transform and over inputs it
+keeps alive.  Given inputs built through ``nodes``, every result is
+too, so equal results are one object: ``check_axioms`` decides an
+instance by ``is``.  Given no tables, ``rp``, ``cr`` and
+``order_prefix`` make fresh ones, and ``mem`` builds each changed node
+anew, so its result shares subtrees exactly where its input does.
 """
 
 from __future__ import annotations
@@ -30,20 +42,25 @@ from .evaltrees import EvalTree, Node, se
 from .terms import Sigma, Term, check_alphabet
 
 
-def _reduce(x: EvalTree, repeat: bool) -> EvalTree:
+def _reduce(x: EvalTree, repeat: bool, nodes: dict | None, done: dict | None) -> EvalTree:
     # rp (``repeat``) or cr of ``x``: one walk, without recursion, over
     # (node, context) pairs.  The context is None, or the side of a parent
     # whose atom the node repeats.  In context None a node is rebuilt from
     # its branches' results; on a side it becomes its branch's result on
-    # that side, which rp puts on both branches of one node of its atom
-    # (one per atom and result, from ``unique``).  Each pair is done once,
-    # keyed on ``id`` in its context's table, so a shared tree costs its
-    # objects, each at most three times.  A subtree that needs no change
-    # is returned as it is.
+    # that side, which rp puts on both branches of one node of its atom.
+    # Each pair is done once, keyed on ``id`` in its context's table of
+    # ``done``, so a shared tree costs its objects, each at most three
+    # times.  A subtree that needs no change is returned as it is, and
+    # every new node comes from ``nodes`` (see the module docstring).
     if x.__class__ is not Node:
         return x
-    done: dict = {None: {}, True: {}, False: {}}  # context -> id -> result
-    unique: dict[tuple[str, int], Node] = {}  # (atom name, id(y)) -> Node(a, y, y)
+    if nodes is None:
+        nodes = {}
+    if done is None:
+        done = {None: {}, True: {}, False: {}}
+    out = done[None].get(id(x))
+    if out is not None:
+        return out
     stack: list[tuple[Node, bool | None]] = [(x, None)]
     while stack:
         x, side = stack[-1]
@@ -68,7 +85,10 @@ def _reduce(x: EvalTree, repeat: bool) -> EvalTree:
                 continue
             out = x
             if new_left is not left or new_right is not right:
-                out = Node(x.atom, new_left, new_right)
+                key = (name, id(new_left), id(new_right))
+                out = nodes.get(key)
+                if out is None:
+                    out = nodes[key] = Node(x.atom, new_left, new_right)
         else:
             out = y = x.left if side else x.right
             if y.__class__ is Node:
@@ -82,10 +102,10 @@ def _reduce(x: EvalTree, repeat: bool) -> EvalTree:
                 if x.left is out is x.right:  # so an rp image is its own
                     out = x
                 else:
-                    key = (name, id(out))
-                    node = unique.get(key)
+                    key = (name, id(out), id(out))
+                    node = nodes.get(key)
                     if node is None:
-                        node = unique[key] = Node(x.atom, out, out)
+                        node = nodes[key] = Node(x.atom, out, out)
                     out = node
         done[side][id(x)] = out
     return out  # the root's, done last
@@ -96,9 +116,9 @@ def _reduce(x: EvalTree, repeat: bool) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def rp(x: EvalTree) -> EvalTree:
+def rp(x: EvalTree, nodes: dict | None = None, done: dict | None = None) -> EvalTree:
     """Repetition-proof transform of an evaluation tree."""
-    return _reduce(x, True)
+    return _reduce(x, True, nodes, done)
 
 
 def rpse(t: Term) -> EvalTree:
@@ -111,9 +131,9 @@ def rpse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def cr(x: EvalTree) -> EvalTree:
+def cr(x: EvalTree, nodes: dict | None = None, done: dict | None = None) -> EvalTree:
     """Contractive transform of an evaluation tree."""
-    return _reduce(x, False)
+    return _reduce(x, False, nodes, done)
 
 
 def cse(t: Term) -> EvalTree:
@@ -126,7 +146,7 @@ def cse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def mem(x: EvalTree) -> EvalTree:
+def mem(x: EvalTree, nodes: dict | None = None) -> EvalTree:
     """Memorizing transform of an evaluation tree.
 
     Equal to the paper's definition, whose one-sided helper resolves every
@@ -160,9 +180,17 @@ def mem(x: EvalTree) -> EvalTree:
                 stack.append((node, x))
                 x = node.right
                 break
-            del answers[node.atom.name]
+            name = node.atom.name
+            del answers[name]
             if left is not node.left or x is not node.right:
-                node = Node(node.atom, left, x)
+                if nodes is None:
+                    node = Node(node.atom, left, x)
+                else:
+                    key = (name, id(left), id(x))
+                    new = nodes.get(key)
+                    if new is None:
+                        new = nodes[key] = Node(node.atom, left, x)
+                    node = new
             x = node
         else:
             return x
@@ -178,13 +206,20 @@ def mse(t: Term) -> EvalTree:
 # ---------------------------------------------------------------------------
 
 
-def order_prefix(sigma: Sigma, x: EvalTree) -> EvalTree:
+def order_prefix(sigma: Sigma, x: EvalTree, nodes: dict | None = None) -> EvalTree:
     """``x`` under one ``Node(a, x, x)`` per atom ``a`` of ``sigma``, in
     order: the tree of ``T <| e_sigma |> t`` for ``x`` that of ``t`` (as
     ``e_sigma`` has no T leaf, and both branches of each of its levels
-    are one term), and of ``e_sigma`` itself for ``x`` the leaf F."""
+    are one term), and of ``e_sigma`` itself for ``x`` the leaf F.  Each
+    node comes from ``nodes``, as in the transforms."""
+    if nodes is None:
+        nodes = {}
     for a in sigma.atoms:
-        x = Node(a, x, x)
+        key = (a.name, id(x), id(x))
+        y = nodes.get(key)
+        if y is None:
+            y = nodes[key] = Node(a, x, x)
+        x = y
     return x
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -375,9 +377,26 @@ def test_no_law_template_repeats_a_step():
     # Both sides of a law share one step per graft: CP4's sides need
     # three, where compiling each side alone gives six.
     for name, scheme in c.AXIOMS.items():
-        steps = scheme.template[0]
+        steps = [step[1:] for stage in scheme.template[0] for step in stage]
         assert len(set(steps)) == len(steps), name
-    assert len(c.AXIOMS["CP4"].template[0]) == 3
+    assert sum(map(len, c.AXIOMS["CP4"].template[0])) == 3
+
+
+def test_law_steps_are_staged_at_the_last_level_they_read():
+    # Slot 3 holds the atom (level 0), slot 4 + i the i-th variable
+    # (level i + 1), T, F and e_sigma are level 0, and a step's slot takes
+    # the highest level it reads: each step runs once per value of the
+    # levels up to its own, and reads nothing a later level changes.
+    for name, scheme in c.AXIOMS.items():
+        stages = scheme.template[0]
+        assert len(stages) == 1 + scheme.arity(), name
+        level = {s: max(s - 3, 0) for s in range(4 + scheme.arity())}
+        for depth, stage in enumerate(stages):
+            for s, *reads in stage:
+                assert s not in level, name
+                level[s] = max(level[r] for r in reads)
+                assert level[s] == depth, (name, s)
+        assert sorted(level) == list(range(len(level))), name
 
 
 def test_check_axioms_instance_counts():
@@ -452,6 +471,49 @@ def test_check_axioms_builds_no_law_term(monkeypatch):
         for kind in ALL_KINDS:
             reports = c.check_axioms(system, (T, TA), kind)
             assert all(sum(r.axiom_name == law for r in reports) > 1 for law in laws)
+
+
+def test_check_axioms_builds_each_node_once_and_decides_by_identity(monkeypatch):
+    # Every tree of a call, transformed or not, is built through its one
+    # unique table, so no two nodes share (atom name, left, right), and
+    # an instance holds iff its two trees are one object: same_tree is
+    # never called.
+    def refuse(x, y):
+        raise AssertionError("check_axioms called same_tree")
+
+    monkeypatch.setattr(c.congruence, "same_tree", refuse)
+    built: list[tuple[c.Node, tuple[str, int, int]]] = []
+    init = c.Node.__init__
+
+    def recorded(self, atom, left, right):
+        init(self, atom, left, right)
+        # Holding the node keeps its children, so their ids stay theirs.
+        built.append((self, (atom.name, id(left), id(right))))
+
+    monkeypatch.setattr(c.Node, "__init__", recorded)
+    for kind in (c.FREE, c.RP, c.CR, c.MEM, STATIC_AB):
+        for system in c.SYSTEMS:
+            built.clear()
+            c.check_axioms(system, GOLDEN_POOL, kind)
+            keys = [key for _, key in built]
+            assert len(set(keys)) == len(keys), (system, kind)
+
+
+def test_axiom_instance_reports_stay_frozen_values():
+    report = c.AxiomInstanceReport("CP1", (("x", TA), ("y", F)), True)
+    twin = c.AxiomInstanceReport("CP1", (("x", p("a")), ("y", F)), True)
+    assert report == twin and hash(report) == hash(twin)
+    assert report != c.AxiomInstanceReport("CP1", (("x", TA), ("y", F)), False)
+    assert repr(report) == (
+        "AxiomInstanceReport(axiom_name='CP1', substitution=(('x', a), ('y', F)), holds=True)"
+    )
+    assert report.substitution_map() == {"x": TA, "y": F}
+    for name in ("axiom_name", "substitution", "holds", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, None)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(report, protocol))
+        assert copy == report and copy.holds is True, protocol
 
 
 def _tk(k: int) -> c.Term:

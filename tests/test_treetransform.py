@@ -8,6 +8,7 @@ import pytest
 
 import condalg as c
 from condalg import evaltrees
+from condalg.terms import fold
 from helpers import (
     ATOM_A,
     ATOM_B,
@@ -17,9 +18,11 @@ from helpers import (
     all_terms_upto,
     basic_forms_ab,
     deep_tree_pool,
+    paper_cr,
     paper_cr_tree_aux,
     paper_mem,
     paper_mem_tree_aux,
+    paper_rp,
     paper_rp_tree_aux,
     paper_se,
     random_terms,
@@ -233,6 +236,40 @@ def test_mem_returns_a_tree_it_leaves_unchanged():
     for x in tree_pool(2):
         if paper_mem(x) == x:
             assert c.mem(x) is x
+
+
+def _interned(x: c.EvalTree, nodes: dict) -> c.EvalTree:
+    # ``x`` rebuilt through the unique table ``nodes``, keyed on (atom
+    # name, id(left), id(right)) as the transforms key it, so that equal
+    # subtrees are one object.
+    def build(y: c.EvalTree, kids: list[c.EvalTree]) -> c.EvalTree:
+        if not kids:
+            return y
+        key = (y.atom.name, id(kids[0]), id(kids[1]))
+        if key not in nodes:
+            nodes[key] = c.Node(y.atom, *kids)
+        return nodes[key]
+
+    return fold(x, evaltrees.tree_children, build)
+
+
+def test_transforms_through_shared_tables_match_the_paper_and_share_equal_results():
+    # As check_axioms runs them: every input built through one unique
+    # table, which the transforms build through too, and one table of done
+    # (node, context) pairs per transform for all inputs.  Each result is
+    # still the paper's, and equal results are one object.
+    nodes: dict = {}
+    pool = [_interned(x, nodes) for x in tree_pool(2)]
+    for transform, paper, tables in (
+        (c.rp, paper_rp, {"done": {None: {}, True: {}, False: {}}}),
+        (c.cr, paper_cr, {"done": {None: {}, True: {}, False: {}}}),
+        (c.mem, paper_mem, {}),
+    ):
+        results = [transform(x, nodes=nodes, **tables) for x in pool]
+        for x, y in zip(pool, results):
+            assert c.same_tree(y, paper(x)), (transform.__name__, x)
+        for y, z in itertools.combinations(results, 2):
+            assert (y is z) == c.same_tree(y, z), (transform.__name__, y, z)
 
 
 def test_sse_matches_the_paper_composition():
