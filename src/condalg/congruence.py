@@ -24,7 +24,7 @@ holds exactly when its two trees are.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from typing import Sequence
 
@@ -208,7 +208,7 @@ def render_truth_table(table: TruthTable, fmt: str = "text", *, title: str = "va
 _VARIABLES = "xyzuvw"
 
 
-@dataclass(frozen=True)
+@frozen
 class AxiomScheme:
     """An equation scheme: two terms whose atoms x, y, z, u, v and w are
     its variables, ``a`` ranges over the pool's atoms (the scheme is then
@@ -325,7 +325,7 @@ SYSTEM_LEVEL = {"CP": 0, "CPrp": 1, "CPcr": 2, "CPmem": 3, "CPs": 4, "CPst": 4}
 DEFAULT_INSTANCE_BUDGET = 200_000
 
 
-@frozen(init=False)
+@frozen
 class AxiomInstanceReport:
     """One instantiated equation and its verdict under a congruence."""
 
@@ -333,20 +333,8 @@ class AxiomInstanceReport:
     substitution: tuple[tuple[str, Term], ...]
     holds: bool
 
-    # check_axioms builds one per instance, so this fills the slots
-    # through their own setters, as terms.Cond does.
-    def __init__(self, axiom_name: str, substitution: tuple[tuple[str, Term], ...], holds: bool):
-        _set_axiom_name(self, axiom_name)
-        _set_substitution(self, substitution)
-        _set_holds(self, holds)
-
     def substitution_map(self) -> dict[str, Term]:
         return dict(self.substitution)
-
-
-_set_axiom_name = AxiomInstanceReport.axiom_name.__set__
-_set_substitution = AxiomInstanceReport.substitution.__set__
-_set_holds = AxiomInstanceReport.holds.__set__
 
 
 def check_instance_budget(

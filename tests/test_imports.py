@@ -1,6 +1,8 @@
 """No library module imports a name it never uses or defines a private
 one the package never reads, and the two decision routes import nothing
-from each other.
+from each other.  ``terms.frozen`` alone decides how a value object is
+built: no class it makes writes its own ``__init__``, and no other module
+reads a slot's setter.
 
 ``__init__.py`` is exempt: importing is how it exports.  A name counts as
 used when it is read anywhere in the module, also inside a string
@@ -115,3 +117,35 @@ def test_the_two_routes_import_nothing_from_each_other(module):
     path = Path(condalg.__file__).parent / f"{module}.py"
     shared = imported_modules(ast.parse(path.read_text(), str(path))) & others
     assert not shared, f"{module}.py imports from {sorted(shared)}"
+
+
+def frozen_classes(tree: ast.Module) -> list[ast.ClassDef]:
+    """The classes decorated with ``frozen``, with or without arguments."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(d, ast.Name) and d.id == "frozen"
+            or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "frozen"
+            for d in node.decorator_list
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_frozen_class_writes_its_own_init(path):
+    tree = ast.parse(path.read_text(), str(path))
+    own = [
+        cls.name
+        for cls in frozen_classes(tree)
+        if any(isinstance(d, ast.FunctionDef) and d.name == "__init__" for d in cls.body)
+    ]
+    assert not own, f"{path.name}: frozen classes with their own __init__: {own}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_terms_reads_a_slot_setter(path):
+    tree = ast.parse(path.read_text(), str(path))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "__set__"]
+    assert path.name == "terms.py" or not lines, f"{path.name} reads __set__ at lines {lines}"

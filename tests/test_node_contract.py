@@ -1,18 +1,21 @@
 """The dataclass contract of ``Cond`` and ``Node``, the objects every layer
 builds most: frozen, slotted, compared and hashed on their fields, and
 usable with ``dataclasses`` and ``pickle`` as any frozen dataclass is.
-Every other frozen dataclass of the package refuses assignment alike."""
+Every other frozen dataclass of the package is made by ``terms.frozen``
+too, so it is built, refuses assignment, replaces and pickles alike."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import pickle
 import pkgutil
 
 import pytest
 
 import condalg as c
+from condalg import terms
 from helpers import ATOM_A, ATOM_B, TA, TB
 
 T, F = c.TRUE, c.FALSE
@@ -133,3 +136,122 @@ def test_every_frozen_dataclass_refuses_setting_and_deleting_any_name(cls):
             setattr(x, name, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(x, name)
+
+
+# One instance of each frozen class, as its constructor's arguments.
+SAMPLES = {
+    "Atom": ("a",),
+    "AtomTerm": (ATOM_A,),
+    "AxiomInstanceReport": ("CP1", (("x", TA), ("y", F)), True),
+    "AxiomScheme": ("swap", c.parse_term("x <| y |> F"), c.parse_term("y <| x |> F")),
+    "Cond": (T, TA, F),
+    "CongruenceKind": ("static", c.Sigma((ATOM_A, ATOM_B))),
+    "Evaluation": (((ATOM_A, True), (ATOM_B, False)), False),
+    "FalseConst": (),
+    "Leaf": (True,),
+    "Node": (ATOM_A, LT, LF),
+    "SclAnd": (c.SclAtom(ATOM_A), c.SclTrue()),
+    "SclAtom": (ATOM_B,),
+    "SclFalse": (),
+    "SclNot": (c.SclFalse(),),
+    "SclOr": (c.SclTrue(), c.SclNot(c.SclAtom(ATOM_A))),
+    "SclTrue": (),
+    "Sigma": ((ATOM_B, ATOM_A),),
+    "TrueConst": (),
+    "TruthTable": (c.Sigma((ATOM_A,)), (((True,), True), ((False,), False))),
+}
+
+
+def init_names(cls: type) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.init]
+
+
+def test_every_frozen_dataclass_has_a_sample():
+    assert sorted(SAMPLES) == [cls.__name__ for cls in FROZEN]
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_every_frozen_dataclass_is_made_by_frozen(cls):
+    assert cls.__setattr__ is terms._refuse_change
+    assert cls.__delattr__ is terms._refuse_change
+    assert "__slots__" in vars(cls)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_constructor_parameters_are_the_init_fields(cls):
+    assert list(inspect.signature(cls).parameters) == init_names(cls)
+
+
+def test_profiles_and_tracebacks_tell_the_constructors_apart():
+    inits = [cls.__init__ for cls in FROZEN]
+    assert [init.__qualname__ for init in inits] == [f"{cls.__qualname__}.__init__" for cls in FROZEN]
+    assert len({init.__code__.co_filename for init in inits}) == len(FROZEN)
+
+
+def test_an_undocumented_class_is_documented_by_its_signature():
+    assert c.Leaf.__doc__ == "Leaf(value: 'bool')"
+    assert c.TrueConst.__doc__ == "TrueConst()"
+    assert c.Sigma.__doc__.startswith("A duplicate-free, ordered sequence of atoms")
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_positional_and_keyword_construction_agree(cls):
+    args = SAMPLES[cls.__name__]
+    x = cls(*args)
+    assert all(getattr(x, name) is arg for name, arg in zip(init_names(cls), args))
+    assert cls(**dict(zip(init_names(cls), args))) == x
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    required = [p for p in inspect.signature(cls).parameters.values() if p.default is p.empty]
+    if required:
+        with pytest.raises(TypeError):
+            cls(*args[: len(required) - 1])
+        with pytest.raises(TypeError):
+            cls(*args, **{required[0].name: args[0]})
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_replace_builds_through_the_constructor(cls):
+    x = cls(*SAMPLES[cls.__name__])
+    for name in init_names(cls):
+        y = dataclasses.replace(x, **{name: getattr(x, name)})
+        assert type(y) is cls and y == x and y is not x
+    with pytest.raises(TypeError):
+        dataclasses.replace(x, missing=1)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_every_frozen_dataclass_pickles(cls, protocol):
+    x = cls(*SAMPLES[cls.__name__])
+    y = pickle.loads(pickle.dumps(x, protocol))
+    assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == repr(x)
+    assert all(getattr(y, f.name) == getattr(x, f.name) for f in dataclasses.fields(cls))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: c.Atom('a"'),
+        lambda: c.Sigma.of("a", "a"),
+        lambda: c.CongruenceKind("x"),
+        lambda: c.CongruenceKind("static"),
+    ],
+    ids=["quoted-atom", "repeated-atom", "unknown-tag", "static-without-sigma"],
+)
+def test_post_init_still_checks_the_fields(build):
+    with pytest.raises((ValueError, c.DuplicateAtomError)):
+        build()
+
+
+def test_defaults_and_derived_fields_hold():
+    assert c.CongruenceKind("free").sigma is None
+    scheme = c.AxiomScheme(*SAMPLES["AxiomScheme"])
+    assert (scheme.variables, scheme.needs_atom, scheme.needs_sigma) == (("x", "y"), False, False)
+    derived = [f.name for f in dataclasses.fields(c.AxiomScheme) if not f.init]
+    assert derived == ["variables", "needs_atom", "needs_sigma", "template"]
+    for name in derived:
+        with pytest.raises(TypeError):
+            c.AxiomScheme(*SAMPLES["AxiomScheme"], **{name: getattr(scheme, name)})
+        with pytest.raises(ValueError):
+            dataclasses.replace(scheme, **{name: getattr(scheme, name)})
