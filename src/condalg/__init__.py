@@ -58,7 +58,6 @@ from .evaltrees import (
     evaluate_with_oracle,
     evaluations,
     render_tree,
-    same_tree,
     se,
     tree_to_term,
 )

@@ -29,7 +29,7 @@ from functools import partial
 from typing import Sequence
 
 from .errors import CondAlgError, InstanceBudgetError, check_static_budget
-from .evaltrees import LEAF_F, LEAF_T, EvalTree, Leaf, Node, same_tree, se, tree_children
+from .evaltrees import LEAF_F, LEAF_T, EvalTree, Leaf, Node, se, tree_children
 from .normalform import bf, cbf, mbf, rpbf, sbf
 from .terms import (
     Atom,
@@ -100,10 +100,11 @@ TREE_ROUTES = dict(zip(KIND_LEVEL, (se, rpse, cse, mse, sse)))
 NORMAL_FORM_ROUTES = dict(zip(KIND_LEVEL, (bf, rpbf, cbf, mbf, sbf)))
 
 
-def transformed_tree(t: Term, kind: CongruenceKind) -> EvalTree:
-    """The evaluation tree whose equality decides ``kind``."""
+def transformed_tree(t: Term, kind: CongruenceKind, nodes: dict | None = None) -> EvalTree:
+    """The evaluation tree whose equality decides ``kind``, built
+    through the unique table ``nodes`` as ``se`` is."""
     route = TREE_ROUTES[kind.tag]
-    return route(t) if kind.sigma is None else route(kind.sigma, t)
+    return route(t, nodes) if kind.sigma is None else route(kind.sigma, t, nodes)
 
 
 def normal_form(t: Term, kind: CongruenceKind) -> Term:
@@ -113,9 +114,11 @@ def normal_form(t: Term, kind: CongruenceKind) -> Term:
 
 
 def equivalent(p: Term, q: Term, kind: CongruenceKind) -> bool:
-    """Decide the congruence by comparing transformed evaluation trees
-    (``same_tree``: shared subtrees are compared once)."""
-    return same_tree(transformed_tree(p, kind), transformed_tree(q, kind))
+    """Decide the congruence by comparing transformed evaluation trees.
+    Both are built through one unique table, so they are equal exactly
+    when they are one object."""
+    nodes: dict[tuple[str, int, int], Node] = {}
+    return transformed_tree(p, kind, nodes) is transformed_tree(q, kind, nodes)
 
 
 # ---------------------------------------------------------------------------

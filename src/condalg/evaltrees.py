@@ -88,7 +88,7 @@ AtomOracle = Callable[[Atom], bool]
 # ---------------------------------------------------------------------------
 
 
-def _se(t: Term, kt: EvalTree, kf: EvalTree) -> EvalTree:
+def _se(t: Term, kt: EvalTree, kf: EvalTree, nodes: dict) -> EvalTree:
     # ``se(t)`` with its true leaves replaced by kt and its false leaves by
     # kf, built directly: the branches' trees are built onto kt and kf and
     # become the condition's continuations, and the condition is the next
@@ -96,6 +96,7 @@ def _se(t: Term, kt: EvalTree, kf: EvalTree) -> EvalTree:
     # that is a conditional waits on ``stack``, innermost last, as
     # (conditional, kt, kf) while its true branch is built, then as
     # (condition, true branch's tree, None) while its false branch is.
+    # Each node comes from ``nodes`` (see ``se``).
     stack: list[tuple] = []
     while True:
         cls = t.__class__
@@ -106,9 +107,21 @@ def _se(t: Term, kt: EvalTree, kf: EvalTree) -> EvalTree:
                 stack.append((t, kt, kf))
                 t = p
                 continue
-            left = Node(p.atom, kt, kf) if cls is AtomTerm else kt if cls is TrueConst else kf
+            if cls is AtomTerm:
+                key = (p.atom.name, id(kt), id(kf))
+                left = nodes.get(key)
+                if left is None:
+                    left = nodes[key] = Node(p.atom, kt, kf)
+            else:
+                left = kt if cls is TrueConst else kf
         else:
-            x = Node(t.atom, kt, kf) if cls is AtomTerm else kt if cls is TrueConst else kf
+            if cls is AtomTerm:
+                key = (t.atom.name, id(kt), id(kf))
+                x = nodes.get(key)
+                if x is None:
+                    x = nodes[key] = Node(t.atom, kt, kf)
+            else:
+                x = kt if cls is TrueConst else kf
             if not stack:
                 return x
             t, kt, kf = stack.pop()
@@ -122,19 +135,29 @@ def _se(t: Term, kt: EvalTree, kf: EvalTree) -> EvalTree:
             stack.append((t.condition, left, None))
             t = r
             continue
-        kf = Node(r.atom, kt, kf) if cls is AtomTerm else kt if cls is TrueConst else kf
+        if cls is AtomTerm:
+            key = (r.atom.name, id(kt), id(kf))
+            right = nodes.get(key)
+            if right is None:
+                right = nodes[key] = Node(r.atom, kt, kf)
+            kf = right
+        elif cls is TrueConst:
+            kf = kt
         kt = left
         t = t.condition
 
 
-def se(t: Term) -> EvalTree:
+def se(t: Term, nodes: dict | None = None) -> EvalTree:
     """The evaluation tree of a term under short-circuit evaluation.
 
     The tree of ``P <| Q |> R`` is the condition's tree with its true
     leaves replaced by P's tree and its false leaves by R's, built in one
-    pass that shares those trees.
+    pass that shares those trees.  Every node comes from ``nodes``, a
+    unique table keyed on (atom name, ``id(left)``, ``id(right)``), fresh
+    if none is given, so equal subtrees are one object; trees built
+    through one table are equal exactly when they are one object.
     """
-    return _se(t, LEAF_T, LEAF_F)
+    return _se(t, LEAF_T, LEAF_F, {} if nodes is None else nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +186,6 @@ def evaluations(x: EvalTree) -> list[Evaluation]:
             depth = len(path)
             stack += ((node.right, depth, (node.atom, False)), (node.left, depth, (node.atom, True)))
     return out
-
-
-def same_tree(x: EvalTree, y: EvalTree) -> bool:
-    """Whether two evaluation trees are equal, as ``x == y``: a walk
-    that stops at identical objects and compares each pair of objects
-    once, so it takes time linear in the pairs of shared nodes it meets,
-    however large the trees are counted as trees."""
-    seen: set[tuple[int, int]] = set()
-    pending: list[tuple[EvalTree, EvalTree]] = []
-    while True:
-        # Descend along left branches, leaving the right pairs pending.
-        if x is not y:
-            if not (isinstance(x, Node) and isinstance(y, Node)):
-                if x != y:
-                    return False
-            elif x.atom.name != y.atom.name:
-                return False
-            elif (id(x), id(y)) not in seen:
-                seen.add((id(x), id(y)))
-                pending.append((x.right, y.right))
-                x, y = x.left, y.left
-                continue
-        if not pending:
-            return True
-        x, y = pending.pop()
 
 
 def tree_children(x: EvalTree) -> tuple[EvalTree, ...]:

@@ -98,8 +98,8 @@ def _fields(x: object) -> tuple:
 
 
 def _equal(x: object, y: object) -> bool:
-    # ``x == y`` for deep objects: like ``same_tree``, a walk over pairs
-    # of objects that stops at identical ones and compares each pair once.
+    # ``x == y`` for deep objects: a walk over pairs of objects that
+    # stops at identical ones and compares each pair once.
     if y.__class__ is not x.__class__:
         return NotImplemented
     seen: set[tuple[int, int]] = set()

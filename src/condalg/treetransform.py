@@ -22,17 +22,15 @@ shared tree they build, however large either is counted as a tree.
 ``mem`` (and so ``mse`` and ``sse``) is one walk that carries the answers
 given so far, in time proportional to its output counted as a tree.
 
-``rp``, ``cr``, ``mem`` and ``order_prefix`` take the caller's tables.
-Every node they build comes from ``nodes``, a unique table keyed on
-(atom name, ``id(left)``, ``id(right)``), which holds its nodes and so
-keeps the keyed ids alive.  ``rp`` and ``cr`` also take ``done``, the
-results by context (None, True or False) and ``id`` of the nodes walked,
-which a caller reuses only with the same transform and over inputs it
-keeps alive.  Given inputs built through ``nodes``, every result is
-too, so equal results are one object: ``check_axioms`` decides an
-instance by ``is``.  Given no tables, ``rp``, ``cr`` and
-``order_prefix`` make fresh ones, and ``mem`` builds each changed node
-anew, so its result shares subtrees exactly where its input does.
+Every function here takes the caller's ``nodes``, as ``se`` does: a
+unique table keyed on (atom name, ``id(left)``, ``id(right)``) that
+every node they build comes from, and that holds its nodes and so keeps
+the keyed ids alive.  ``rp`` and ``cr`` also take ``done``, the results
+by context (None, True or False) and ``id`` of the nodes walked, which a
+caller reuses only with the same transform and over inputs it keeps
+alive.  Given no tables, each call makes fresh ones.  Given inputs built
+through ``nodes``, every result is too, so equal results are one object:
+``equivalent`` and ``check_axioms`` decide by ``is``.
 """
 
 from __future__ import annotations
@@ -121,9 +119,9 @@ def rp(x: EvalTree, nodes: dict | None = None, done: dict | None = None) -> Eval
     return _reduce(x, True, nodes, done)
 
 
-def rpse(t: Term) -> EvalTree:
+def rpse(t: Term, nodes: dict | None = None) -> EvalTree:
     """Repetition-proof evaluation tree of a term."""
-    return rp(se(t))
+    return rp(se(t, nodes), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +134,9 @@ def cr(x: EvalTree, nodes: dict | None = None, done: dict | None = None) -> Eval
     return _reduce(x, False, nodes, done)
 
 
-def cse(t: Term) -> EvalTree:
+def cse(t: Term, nodes: dict | None = None) -> EvalTree:
     """Contractive evaluation tree of a term."""
-    return cr(se(t))
+    return cr(se(t, nodes), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +158,8 @@ def mem(x: EvalTree, nodes: dict | None = None) -> EvalTree:
     # ``stack`` holds, innermost last, (node, None) while the node's left
     # subtree is walked under its answer True, then (node, left subtree's
     # mem) while its right one is walked under False.
+    if nodes is None:
+        nodes = {}
     answers: dict[str, bool] = {}
     stack: list[tuple] = []
     while True:
@@ -183,22 +183,19 @@ def mem(x: EvalTree, nodes: dict | None = None) -> EvalTree:
             name = node.atom.name
             del answers[name]
             if left is not node.left or x is not node.right:
-                if nodes is None:
-                    node = Node(node.atom, left, x)
-                else:
-                    key = (name, id(left), id(x))
-                    new = nodes.get(key)
-                    if new is None:
-                        new = nodes[key] = Node(node.atom, left, x)
-                    node = new
+                key = (name, id(left), id(x))
+                new = nodes.get(key)
+                if new is None:
+                    new = nodes[key] = Node(node.atom, left, x)
+                node = new
             x = node
         else:
             return x
 
 
-def mse(t: Term) -> EvalTree:
+def mse(t: Term, nodes: dict | None = None) -> EvalTree:
     """Memorizing evaluation tree of a term."""
-    return mem(se(t))
+    return mem(se(t, nodes), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,7 @@ def order_prefix(sigma: Sigma, x: EvalTree, nodes: dict | None = None) -> EvalTr
     return x
 
 
-def sse(sigma: Sigma, t: Term) -> EvalTree:
+def sse(sigma: Sigma, t: Term, nodes: dict | None = None) -> EvalTree:
     """Static evaluation tree of a term over the order ``sigma``: a full
     binary tree with the last atom of ``sigma`` at the root.
 
@@ -237,4 +234,4 @@ def sse(sigma: Sigma, t: Term) -> EvalTree:
     """
     check_alphabet(t, sigma, "sse")
     check_static_budget(sigma, "sse")
-    return mem(order_prefix(sigma, se(t)))
+    return mem(order_prefix(sigma, se(t, nodes), nodes), nodes)

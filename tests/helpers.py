@@ -655,14 +655,31 @@ def oracle_desugar(e: c.SclExpr, atoms: dict[str, c.AtomTerm]) -> c.Term:
     return c.TRUE if isinstance(e, c.SclTrue) else c.FALSE
 
 
-def oracle_se(t: c.Term, kt: c.EvalTree, kf: c.EvalTree) -> c.EvalTree:
+def oracle_se(t: c.Term, kt: c.EvalTree, kf: c.EvalTree, nodes: dict) -> c.EvalTree:
     """``evaltrees._se`` built recursively: the branches' trees are built
-    onto kt and kf and become the condition's continuations."""
+    onto kt and kf and become the condition's continuations.  Each node
+    comes from the unique table ``nodes``, on the library's key."""
     if isinstance(t, c.Cond):
-        return oracle_se(t.condition, oracle_se(t.true_branch, kt, kf), oracle_se(t.false_branch, kt, kf))
+        left = oracle_se(t.true_branch, kt, kf, nodes)
+        return oracle_se(t.condition, left, oracle_se(t.false_branch, kt, kf, nodes), nodes)
     if isinstance(t, c.AtomTerm):
-        return c.Node(t.atom, kt, kf)
+        return interned_node(t.atom, kt, kf, nodes)
     return kt if isinstance(t, c.TrueConst) else kf
+
+
+def interned_node(a: c.Atom, left: c.EvalTree, right: c.EvalTree, nodes: dict) -> c.Node:
+    """The node of ``nodes`` keyed on (atom name, id(left), id(right)),
+    made on first sight."""
+    key = (a.name, id(left), id(right))
+    if key not in nodes:
+        nodes[key] = c.Node(a, left, right)
+    return nodes[key]
+
+
+def interned_tree(x: c.EvalTree, nodes: dict) -> c.EvalTree:
+    """``x`` rebuilt through the unique table ``nodes``, so that equal
+    subtrees are one object."""
+    return fold(x, tree_children, lambda y, kids: interned_node(y.atom, *kids, nodes) if kids else y)
 
 
 def oracle_bf(t: c.Term, kt: tuple[c.Term, int], kf: tuple[c.Term, int]) -> tuple[c.Term, int]:
@@ -674,22 +691,23 @@ def oracle_bf(t: c.Term, kt: tuple[c.Term, int], kf: tuple[c.Term, int]) -> tupl
     return kt if isinstance(t, c.TrueConst) else kf
 
 
-def oracle_memorize_tree(x: c.EvalTree, answers: dict[str, bool]) -> c.EvalTree:
+def oracle_memorize_tree(x: c.EvalTree, answers: dict[str, bool], nodes: dict) -> c.EvalTree:
     """``treetransform.mem`` built recursively: mem of ``x`` below
-    the queries already answered, restoring ``answers`` on return."""
+    the queries already answered, restoring ``answers`` on return.  Each
+    new node comes from the unique table ``nodes``, on the library's key."""
     while isinstance(x, c.Node) and x.atom.name in answers:
         x = x.left if answers[x.atom.name] else x.right
     if not isinstance(x, c.Node):
         return x
     name = x.atom.name
     answers[name] = True
-    left = oracle_memorize_tree(x.left, answers)
+    left = oracle_memorize_tree(x.left, answers, nodes)
     answers[name] = False
-    right = oracle_memorize_tree(x.right, answers)
+    right = oracle_memorize_tree(x.right, answers, nodes)
     del answers[name]
     if left is x.left and right is x.right:
         return x
-    return c.Node(x.atom, left, right)
+    return interned_node(x.atom, left, right, nodes)
 
 
 def oracle_memorize_form(p: c.Term, answers: dict[str, bool], spent: list[int], node_budget: int) -> c.Term:

@@ -27,6 +27,7 @@ from helpers import (
     TB,
     all_terms_upto,
     basic_forms_ab,
+    condition_nested,
     oracle_render_truth_table,
     paper_check_axioms,
     paper_eval_formula,
@@ -108,6 +109,17 @@ def test_dual_realization_small_pool():
         nf_keys = [c.render_term(c.normal_form(t, kind)) for t in pool]
         for i, j in itertools.combinations(range(len(pool)), 2):
             assert (tree_keys[i] == tree_keys[j]) == (nf_keys[i] == nf_keys[j])
+
+
+def test_equivalent_agrees_with_the_normal_forms():
+    # ``equivalent`` decides by identity of two trees built through one
+    # table; the normal-form route by the text of two forms.
+    pool = all_terms_upto(1) + random_terms(n=40)
+    for kind in ALL_KINDS:
+        forms = [c.render_term(c.normal_form(t, kind)) for t in pool]
+        for i, j in itertools.combinations(range(len(pool)), 2):
+            same = forms[i] == forms[j]
+            assert c.equivalent(pool[i], pool[j], kind) == same, (pool[i], pool[j], kind)
 
 
 def test_lattice_inclusion_on_pool():
@@ -476,12 +488,14 @@ def test_check_axioms_builds_no_law_term(monkeypatch):
 def test_check_axioms_builds_each_node_once_and_decides_by_identity(monkeypatch):
     # Every tree of a call, transformed or not, is built through its one
     # unique table, so no two nodes share (atom name, left, right), and
-    # an instance holds iff its two trees are one object: same_tree is
-    # never called.
+    # an instance holds iff its two trees are one object: no two trees are
+    # compared with ``==``.  ``equivalent`` builds its two trees through
+    # one table and decides alike.
     def refuse(x, y):
-        raise AssertionError("check_axioms called same_tree")
+        raise AssertionError("two trees compared with == or !=")
 
-    monkeypatch.setattr(c.congruence, "same_tree", refuse)
+    monkeypatch.setattr(c.Node, "__eq__", refuse)
+    monkeypatch.setattr(c.Node, "__ne__", refuse)
     built: list[tuple[c.Node, tuple[str, int, int]]] = []
     init = c.Node.__init__
 
@@ -497,6 +511,11 @@ def test_check_axioms_builds_each_node_once_and_decides_by_identity(monkeypatch)
             c.check_axioms(system, GOLDEN_POOL, kind)
             keys = [key for _, key in built]
             assert len(set(keys)) == len(keys), (system, kind)
+        for x, y in itertools.product(GOLDEN_POOL + (condition_nested(3),), repeat=2):
+            built.clear()
+            c.equivalent(x, y, kind)
+            keys = [key for _, key in built]
+            assert len(set(keys)) == len(keys), (x, y, kind)
 
 
 def test_axiom_instance_reports_stay_frozen_values():

@@ -16,6 +16,7 @@ from helpers import (
     ScriptedOracle,
     all_terms_upto,
     basic_forms_ab,
+    interned_tree,
     paper_leaf_replace,
     paper_se,
     random_terms,
@@ -166,21 +167,30 @@ def test_se_injective_on_basic_forms():
 # ---------------------------------------------------------------------------
 
 
-def test_same_tree_agrees_with_structural_equality():
-    pool = tree_pool(2)
+def test_one_table_makes_equal_trees_one_object():
+    # Trees built through one unique table, by hand or by se, are equal
+    # exactly when they are one object: the rule ``equivalent`` decides by.
+    nodes: dict = {}
+    pool = [interned_tree(x, nodes) for x in tree_pool(2)]
     for x, y in itertools.product(pool, repeat=2):
-        assert c.same_tree(x, y) == (x == y)
+        assert (x is y) == (x == y)
+    terms = all_terms_upto(1) + random_terms(n=40)
+    trees = [c.se(t, nodes) for t in terms]
+    texts = [c.render_tree(x) for x in trees]
+    for i, j in itertools.product(range(len(terms)), repeat=2):
+        assert (trees[i] is trees[j]) == (texts[i] == texts[j]), (terms[i], terms[j])
 
 
-def test_same_tree_compares_shared_subtrees_once():
+def test_tree_equality_compares_shared_subtrees_once():
     # t_{k+1} = t_k <| t_k |> t_k: each se has a few hundred objects but
-    # is, counted as a tree, far too large for ``==`` to walk.
+    # is, counted as a tree, far too large to walk as one; ``==`` compares
+    # each pair of objects once.
     t = c.parse_term("a <| a |> a")
     for _ in range(6):
         t = c.Cond(t, t, t)
     other = c.parse_term(c.render_term(t))
-    assert c.same_tree(c.se(t), c.se(other))
-    assert not c.same_tree(c.se(t), c.se(c.Cond(t, t, F)))
+    assert c.se(t) == c.se(other)
+    assert c.se(t) != c.se(c.Cond(t, t, F))
 
 
 def test_render_ascii():

@@ -7,6 +7,9 @@ reads a slot's setter.
 ``__init__.py`` is exempt: importing is how it exports.  A name counts as
 used when it is read anywhere in the module, also inside a string
 annotation such as ``"EvalTree"``.
+
+Every evaluation-tree node the library makes is an insert into a unique
+table.
 """
 
 from __future__ import annotations
@@ -149,3 +152,26 @@ def test_only_terms_reads_a_slot_setter(path):
     tree = ast.parse(path.read_text(), str(path))
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "__set__"]
     assert path.name == "terms.py" or not lines, f"{path.name} reads __set__ at lines {lines}"
+
+
+def test_every_node_is_a_unique_table_insert():
+    # ``nodes[key] = Node(...)``: each ``Node`` call is the value of an
+    # assignment with a subscript among its targets, so equal trees built
+    # through one table are one object.
+    loose = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), str(path))
+        inserts = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Subscript) for t in node.targets)
+        }
+        loose += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Node"
+            and id(node) not in inserts
+        ]
+    assert not loose, f"Node(...) built outside a unique table at {loose}"

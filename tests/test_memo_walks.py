@@ -4,8 +4,8 @@
 each (object, context) pair of their input once.  They are checked
 against the paper's definitions in tests/helpers.py, which walk a shared
 input as a tree, so the shared inputs here stay small enough for those
-to finish.  Large shared results are compared with ``same_tree``, ``==``
-(both compare each pair of shared objects once) or by identity.
+to finish.  Large shared results are compared with ``==`` (which
+compares each pair of shared objects once) or by identity.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def test_tree_walks_match_the_paper_definitions():
     trees += [c.se(t) for t in basic_forms_ab(2)]
     trees += [c.se(t) for t in nested_terms()]
     for x in trees:
-        assert c.same_tree(c.rp(x), paper_rp(x))
-        assert c.same_tree(c.cr(x), paper_cr(x))
+        assert c.rp(x) == paper_rp(x)
+        assert c.cr(x) == paper_cr(x)
 
 
 def test_normalizers_match_the_paper_definitions():
@@ -148,7 +148,7 @@ def test_shared_evaluation_trees_cost_their_objects():
     assert image.atom == ATOM_A
     assert duplicated_run(image.left, tree_kids)[1] == LT
     assert duplicated_run(image.right, tree_kids)[1] == LF
-    contracted = c.same_tree(c.cr(x), c.Node(ATOM_A, LT, LF))
+    contracted = c.cr(x) == c.Node(ATOM_A, LT, LF)
     assert contracted
     assert c.cbf(condition_nested(10)) == c.Cond(T, TA, F)
     with pytest.raises(c.NodeBudgetError):

@@ -8,7 +8,6 @@ import pytest
 
 import condalg as c
 from condalg import evaltrees
-from condalg.terms import fold
 from helpers import (
     ATOM_A,
     ATOM_B,
@@ -18,6 +17,7 @@ from helpers import (
     all_terms_upto,
     basic_forms_ab,
     deep_tree_pool,
+    interned_tree,
     paper_cr,
     paper_cr_tree_aux,
     paper_mem,
@@ -238,28 +238,13 @@ def test_mem_returns_a_tree_it_leaves_unchanged():
             assert c.mem(x) is x
 
 
-def _interned(x: c.EvalTree, nodes: dict) -> c.EvalTree:
-    # ``x`` rebuilt through the unique table ``nodes``, keyed on (atom
-    # name, id(left), id(right)) as the transforms key it, so that equal
-    # subtrees are one object.
-    def build(y: c.EvalTree, kids: list[c.EvalTree]) -> c.EvalTree:
-        if not kids:
-            return y
-        key = (y.atom.name, id(kids[0]), id(kids[1]))
-        if key not in nodes:
-            nodes[key] = c.Node(y.atom, *kids)
-        return nodes[key]
-
-    return fold(x, evaltrees.tree_children, build)
-
-
 def test_transforms_through_shared_tables_match_the_paper_and_share_equal_results():
     # As check_axioms runs them: every input built through one unique
     # table, which the transforms build through too, and one table of done
     # (node, context) pairs per transform for all inputs.  Each result is
     # still the paper's, and equal results are one object.
     nodes: dict = {}
-    pool = [_interned(x, nodes) for x in tree_pool(2)]
+    pool = [interned_tree(x, nodes) for x in tree_pool(2)]
     for transform, paper, tables in (
         (c.rp, paper_rp, {"done": {None: {}, True: {}, False: {}}}),
         (c.cr, paper_cr, {"done": {None: {}, True: {}, False: {}}}),
@@ -267,9 +252,9 @@ def test_transforms_through_shared_tables_match_the_paper_and_share_equal_result
     ):
         results = [transform(x, nodes=nodes, **tables) for x in pool]
         for x, y in zip(pool, results):
-            assert c.same_tree(y, paper(x)), (transform.__name__, x)
+            assert y == paper(x), (transform.__name__, x)
         for y, z in itertools.combinations(results, 2):
-            assert (y is z) == c.same_tree(y, z), (transform.__name__, y, z)
+            assert (y is z) == (y == z), (transform.__name__, y, z)
 
 
 def test_sse_matches_the_paper_composition():
@@ -284,10 +269,10 @@ def test_sse_walks_the_term_not_the_prefix(monkeypatch):
     calls = 0
     original = evaltrees._se
 
-    def counting(t, kt, kf):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return original(t, kt, kf)
+        return original(*args)
 
     monkeypatch.setattr(evaltrees, "_se", counting)
     t = p("a <| b |> F")
